@@ -88,7 +88,6 @@ func main() {
 		pa        = flag.Float64("pa", 0.99999988, "QoS: query accuracy lower bound (PaL)")
 		shards    = flag.Int("shards", 0, "event-loop shards (0 = one per CPU); groups hash across them")
 		receivers = flag.Int("udp-receivers", 1, "parallel UDP receive sockets (needs SO_REUSEPORT; falls back to 1)")
-		udpBatch  = flag.Bool("udp-batch", true, "syscall-batched UDP packet plane (recvmmsg/sendmmsg+GSO where the kernel has them)")
 		metrics   = flag.String("metrics-addr", "", "TCP address for /metrics, /healthz, /readyz, /debug/flight and /debug/pprof (off when empty)")
 		statsEach = flag.Duration("stats-every", 0, "log a one-line packet-plane stats summary at this period (off when 0)")
 	)
@@ -106,8 +105,7 @@ func main() {
 		log.Fatalf("leaderd: %v", err)
 	}
 
-	tr, err := transport.NewUDP(*listen, peers,
-		transport.WithReceivers(*receivers), transport.WithBatchIO(*udpBatch))
+	tr, err := transport.NewUDP(*listen, peers, transport.WithReceivers(*receivers))
 	if err != nil {
 		log.Fatalf("leaderd: %v", err)
 	}

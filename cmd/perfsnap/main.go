@@ -4,16 +4,13 @@
 // logs. It shells out to `go test -bench` for the benchmark sets named
 // below, parses the standard benchmark output, runs the simulated
 // failover sweep (leaderless-window percentiles with the planned-handover
-// plane on versus off), and writes one JSON file (default BENCH_pr9.json,
-// the current snapshot, recorded with the observability plane's hot-path
-// instrumentation wired in; BENCH_pr8.json and earlier are baselines
-// kept for comparison — checking the current tree against BENCH_pr8.json
-// measures what the instrumentation costs).
+// plane on versus off), and writes one JSON file (default BENCH.json, the
+// single committed snapshot; git history holds the earlier ones).
 //
 // Usage:
 //
-//	go run ./cmd/perfsnap [-out BENCH_pr9.json] [-benchtime 1s]
-//	go run ./cmd/perfsnap -check BENCH_pr9.json [-factor 2] [-benchtime 200ms]
+//	go run ./cmd/perfsnap [-out BENCH.json] [-benchtime 1s]
+//	go run ./cmd/perfsnap -check BENCH.json [-factor 2] [-benchtime 200ms]
 //
 // -check is the CI bench-regression smoke: it re-runs the gate
 // benchmarks (LeaderQuery, MonitorObserve, Fanout, and the batched UDP
@@ -97,7 +94,7 @@ type snapshot struct {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_pr9.json", "output file")
+	out := flag.String("out", "BENCH.json", "output file")
 	benchtime := flag.String("benchtime", "1s", "go test -benchtime value")
 	check := flag.String("check", "", "committed snapshot to gate against (CI regression smoke)")
 	factor := flag.Float64("factor", 2, "allowed ns/op slowdown factor in -check mode")

@@ -31,7 +31,7 @@ func TestInboundCountedAtDispatchNotReceipt(t *testing.T) {
 
 	// While running, a delivered datagram is counted (asynchronously, at
 	// dispatch).
-	s.onDatagram(payload)
+	s.deliver(payload)
 	deadline := time.Now().Add(5 * time.Second)
 	for s.PacketStats().DatagramsIn != 1 {
 		if time.Now().After(deadline) {
@@ -48,7 +48,7 @@ func TestInboundCountedAtDispatchNotReceipt(t *testing.T) {
 	if err := s.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	s.onDatagram(payload)
+	s.deliver(payload)
 	// The drop is synchronous (enqueue bails on the closed closing
 	// channel), so the counters are already final.
 	if got := s.PacketStats(); got.DatagramsIn != 1 || got.MessagesIn != 1 {
@@ -84,7 +84,7 @@ func TestUnknownKindsCountedNotFatal(t *testing.T) {
 	payload = append(payload, 3, 0x2a, 0xde, 0xad) // len=3, kind 42, body
 	payload = append(payload, 1, 0x30)             // len=1, kind 48
 
-	s.onDatagram(payload)
+	s.deliver(payload)
 	deadline := time.Now().Add(5 * time.Second)
 	for s.PacketStats().MessagesIn != 1 {
 		if time.Now().After(deadline) {
@@ -97,7 +97,7 @@ func TestUnknownKindsCountedNotFatal(t *testing.T) {
 	}
 
 	// A bare datagram of a future kind: dropped whole, counted once.
-	s.onDatagram([]byte{0x2a, 1, 'g', 1, 's'})
+	s.deliver([]byte{0x2a, 1, 'g', 1, 's'})
 	deadline = time.Now().Add(5 * time.Second)
 	for s.PacketStats().UnknownDropped != 3 {
 		if time.Now().After(deadline) {

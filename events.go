@@ -236,96 +236,15 @@ func (e StandbyChanged) When() time.Time { return e.At }
 
 func (StandbyChanged) isEvent() {}
 
-// PacketStats is a point-in-time snapshot of the service's packet plane:
-// how many datagrams crossed the wire, how many protocol messages rode
-// inside them, and how much traffic the coalescing scheduler merged into
-// shared datagrams. MessagesOut/DatagramsOut is the outbound coalescing
-// factor; Bytes count one UDP/IP header per datagram. Obtain it from
-// Service.PacketStats; counters accumulate from service start.
-type PacketStats struct {
-	// DatagramsOut is the number of datagrams handed to the transport.
-	DatagramsOut int64
-	// BatchesOut is how many of those carried more than one message.
-	BatchesOut int64
-	// MessagesOut is the number of protocol messages sent, batched or bare.
-	MessagesOut int64
-	// CoalescedOut is the number of messages that shared a datagram with
-	// at least one other message.
-	CoalescedOut int64
-	// BytesOut is outbound wire bytes, UDP/IP headers included.
-	BytesOut int64
-	// DatagramsIn, BatchesIn, MessagesIn and BytesIn mirror the receive
-	// side.
-	DatagramsIn int64
-	BatchesIn   int64
-	MessagesIn  int64
-	BytesIn     int64
-
-	// UnknownDropped counts received messages skipped because their wire
-	// kind is unknown to this build — traffic from newer-versioned peers
-	// (batch inners are skipped individually; a bare unknown datagram
-	// drops whole). A nonzero value under homogeneous versions indicates
-	// garbage or hostile traffic.
-	UnknownDropped int64
-
-	// RecvSyscalls and SendSyscalls count the kernel crossings behind the
-	// datagram columns, filled in when the transport accounts its syscall
-	// traffic (the UDP transport does; in-process transports report zero).
-	// On the syscall-batched packet plane one recvmmsg/sendmmsg crossing
-	// carries many datagrams, so the per-syscall ratios run above 1.
-	RecvSyscalls int64
-	SendSyscalls int64
-}
-
-// Delta returns the column-wise difference s - prev: the traffic between
-// two PacketStats snapshots of the same service. Periodic observers
-// difference successive snapshots with it instead of hand-subtracting
-// fields; the per-syscall ratio methods apply to a delta exactly as to
-// a cumulative snapshot, yielding interval ratios.
-func (s PacketStats) Delta(prev PacketStats) PacketStats {
-	return PacketStats(metrics.PacketStats(s).Delta(metrics.PacketStats(prev)))
-}
+// PacketStats is a point-in-time snapshot of the service's packet plane
+// (Service.PacketStats); its Delta, RatesOver and per-syscall ratio
+// methods apply to a difference of snapshots exactly as to a cumulative
+// one.
+type PacketStats = metrics.PacketStats
 
 // PacketRates is a PacketStats delta normalised to per-second rates over
 // a measurement interval; see PacketStats.RatesOver.
 type PacketRates = metrics.PacketRates
-
-// RatesOver converts the snapshot — normally a Delta — into per-second
-// rates over elapsed. A non-positive elapsed yields zero rates.
-func (s PacketStats) RatesOver(elapsed time.Duration) PacketRates {
-	return metrics.PacketStats(s).RatesOver(elapsed)
-}
-
-// RecvPacketsPerSyscall reports how many received datagrams each receive
-// syscall carried on average — 1 on the classic path, above 1 when
-// recvmmsg batching is active. Zero when the transport does not account
-// syscalls (or nothing was received).
-func (s PacketStats) RecvPacketsPerSyscall() float64 {
-	if s.RecvSyscalls == 0 {
-		return 0
-	}
-	return float64(s.DatagramsIn) / float64(s.RecvSyscalls)
-}
-
-// SendPacketsPerSyscall is RecvPacketsPerSyscall for the send direction
-// (sendmmsg vectors and GSO super-datagrams raise it above 1).
-func (s PacketStats) SendPacketsPerSyscall() float64 {
-	if s.SendSyscalls == 0 {
-		return 0
-	}
-	return float64(s.DatagramsOut) / float64(s.SendSyscalls)
-}
-
-// PacketsPerSyscall aggregates both directions: total datagrams moved
-// per kernel crossing. Zero when the transport does not account
-// syscalls.
-func (s PacketStats) PacketsPerSyscall() float64 {
-	calls := s.RecvSyscalls + s.SendSyscalls
-	if calls == 0 {
-		return 0
-	}
-	return float64(s.DatagramsIn+s.DatagramsOut) / float64(calls)
-}
 
 // ClientStats is a point-in-time summary of the remote client plane (see
 // WithClientPlane and the client package): how many remote client

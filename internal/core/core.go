@@ -45,17 +45,6 @@ type Runtime interface {
 	Rand() *rand.Rand
 }
 
-// BatchSender is optionally implemented by runtimes whose transport can
-// move several datagrams per kernel crossing (the UDP transport's
-// sendmmsg plane): the node wires the outbound scheduler's gathered
-// drains (FlushAll) through it instead of one Send per destination.
-// Same ownership rules as Send, applied per entry; the slice is scratch,
-// not retained. Runtimes without it (the simulator) see the per-
-// destination Send calls unchanged, byte for byte.
-type BatchSender interface {
-	SendBatch(batch []outbound.Flushed)
-}
-
 // Errors returned by the Node API.
 var (
 	ErrAlreadyJoined = errors.New("core: group already joined")
@@ -281,16 +270,12 @@ func NewNode(self id.Process, rt Runtime, opts ...NodeOption) *Node {
 		pacers: make(map[id.Process]*pacer),
 		obs:    cfg.obs,
 	}
-	ocfg := outbound.Config{
+	n.out = outbound.New(outbound.Config{
 		Clock:    rt,
 		Emit:     rt.Send,
 		Counters: cfg.counters,
 		Disabled: !cfg.coalesce,
-	}
-	if bs, ok := rt.(BatchSender); ok {
-		ocfg.EmitBatch = bs.SendBatch
-	}
-	n.out = outbound.New(ocfg)
+	})
 	if cfg.clientPlane {
 		sc := cfg.clientCfg
 		sc.Self = self

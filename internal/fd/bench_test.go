@@ -67,7 +67,7 @@ func (t *wheelClockTimer) Stop() bool { return t.c.w.Stop(t.e) }
 // production (instrumented) path.
 func BenchmarkMonitorObserve(b *testing.B) {
 	c := newWheelClock()
-	sh := obs.NewRegistry(1, 0).Shard(0)
+	sh := obs.NewRegistry(1, obs.FlightDepthDefault).Shard(0)
 	m := NewMonitor(Config{Clock: c, Spec: qos.Default(), Estimator: linkest.New(), Obs: sh})
 	defer m.Stop()
 	const interval = 100 * time.Millisecond
@@ -120,7 +120,7 @@ func TestObserveAllocFree(t *testing.T) {
 		Spec:                qos.Default(),
 		Estimator:           linkest.New(),
 		ReconfigureInterval: 24 * time.Hour,
-		Obs:                 obs.NewRegistry(1, 0).Shard(0),
+		Obs:                 obs.NewRegistry(1, obs.FlightDepthDefault).Shard(0),
 	})
 	defer m.Stop()
 	const interval = 100 * time.Millisecond

@@ -42,28 +42,47 @@ type PacketCounters struct {
 	UnknownDropped atomic.Int64
 }
 
-// PacketStats is a point-in-time copy of PacketCounters.
+// PacketStats is a point-in-time copy of PacketCounters — the public
+// stableleader.PacketStats is this type: how many datagrams crossed the
+// wire, how many protocol messages rode inside them, and how much traffic
+// the coalescing scheduler merged into shared datagrams.
+// MessagesOut/DatagramsOut is the outbound coalescing factor; Bytes count
+// one UDP/IP header per datagram. Counters accumulate from service start.
 type PacketStats struct {
+	// DatagramsOut is the number of datagrams handed to the transport.
 	DatagramsOut int64
-	BatchesOut   int64
-	MessagesOut  int64
+	// BatchesOut is how many of those carried more than one message.
+	BatchesOut int64
+	// MessagesOut is the number of protocol messages sent, batched or bare.
+	MessagesOut int64
+	// CoalescedOut is the number of messages that shared a datagram with
+	// at least one other message.
 	CoalescedOut int64
-	BytesOut     int64
+	// BytesOut is outbound wire bytes, UDP/IP headers included.
+	BytesOut int64
 
+	// DatagramsIn, BatchesIn, MessagesIn and BytesIn mirror the receive
+	// side.
 	DatagramsIn int64
 	BatchesIn   int64
 	MessagesIn  int64
 	BytesIn     int64
 
+	// UnknownDropped counts received messages skipped because their wire
+	// kind is unknown to this build — traffic from newer-versioned peers
+	// (batch inners are skipped individually; a bare unknown datagram
+	// drops whole). A nonzero value under homogeneous versions indicates
+	// garbage or hostile traffic.
 	UnknownDropped int64
 
 	// RecvSyscalls and SendSyscalls count the kernel crossings behind the
 	// datagram columns. They are not counters of this set — the transport
 	// owns syscall accounting — so Snapshot leaves them zero; the host
 	// fills them from the transport when it exposes them (see
-	// transport.IOStatser). DatagramsIn/RecvSyscalls and
-	// DatagramsOut/SendSyscalls are the packets-per-syscall ratios the
-	// batched packet plane exists to raise above 1.
+	// transport.IOStatser: the UDP transport does, in-process transports
+	// report zero). On the syscall-batched packet plane one
+	// recvmmsg/sendmmsg crossing carries many datagrams, so the
+	// per-syscall ratios run above 1.
 	RecvSyscalls int64
 	SendSyscalls int64
 }
@@ -92,6 +111,37 @@ func (s PacketStats) Delta(prev PacketStats) PacketStats {
 		RecvSyscalls: s.RecvSyscalls - prev.RecvSyscalls,
 		SendSyscalls: s.SendSyscalls - prev.SendSyscalls,
 	}
+}
+
+// RecvPacketsPerSyscall reports how many received datagrams each receive
+// syscall carried on average — 1 on the classic path, above 1 when
+// recvmmsg batching is active. Zero when the transport does not account
+// syscalls (or nothing was received).
+func (s PacketStats) RecvPacketsPerSyscall() float64 {
+	if s.RecvSyscalls == 0 {
+		return 0
+	}
+	return float64(s.DatagramsIn) / float64(s.RecvSyscalls)
+}
+
+// SendPacketsPerSyscall is RecvPacketsPerSyscall for the send direction
+// (sendmmsg vectors and GSO super-datagrams raise it above 1).
+func (s PacketStats) SendPacketsPerSyscall() float64 {
+	if s.SendSyscalls == 0 {
+		return 0
+	}
+	return float64(s.DatagramsOut) / float64(s.SendSyscalls)
+}
+
+// PacketsPerSyscall aggregates both directions: total datagrams moved
+// per kernel crossing. Zero when the transport does not account
+// syscalls.
+func (s PacketStats) PacketsPerSyscall() float64 {
+	calls := s.RecvSyscalls + s.SendSyscalls
+	if calls == 0 {
+		return 0
+	}
+	return float64(s.DatagramsIn+s.DatagramsOut) / float64(calls)
 }
 
 // PacketRates is a PacketStats delta normalised to per-second rates over
@@ -163,20 +213,6 @@ func (c *PacketCounters) CountUnknown(n int64) {
 		return
 	}
 	c.UnknownDropped.Add(n)
-}
-
-// CountIn records one inbound datagram carrying msgs messages and bytes
-// wire bytes (UDP/IP overhead included).
-func (c *PacketCounters) CountIn(msgs int, bytes int) {
-	if c == nil {
-		return
-	}
-	c.DatagramsIn.Add(1)
-	c.MessagesIn.Add(int64(msgs))
-	c.BytesIn.Add(int64(bytes))
-	if msgs > 1 {
-		c.BatchesIn.Add(1)
-	}
 }
 
 // CountInPart records one shard's share of an inbound datagram whose

@@ -71,7 +71,7 @@ func TestPacketCountersMonotonicUnderConcurrentReaders(t *testing.T) {
 			defer writerWG.Done()
 			for i := 0; i < rounds; i++ {
 				c.CountOut(3, 180)
-				c.CountIn(2, 120)
+				c.CountInPart(2, 120, true, true)
 				c.CountInPart(1, 90, i%2 == 0, false)
 				c.CountUnknown(1)
 			}
@@ -118,8 +118,8 @@ func TestPacketCountersMonotonicUnderConcurrentReaders(t *testing.T) {
 	if want := int64(writers * rounds * 3); got.MessagesOut != want {
 		t.Errorf("MessagesOut = %d, want %d", got.MessagesOut, want)
 	}
-	// CountIn delivers one datagram per call; CountInPart adds messages
-	// always and a datagram only when flagged.
+	// CountInPart adds messages always and a datagram only when flagged:
+	// every first call per round, every second of the other.
 	if want := int64(writers * rounds); got.DatagramsIn != want+want/2 {
 		t.Errorf("DatagramsIn = %d, want %d", got.DatagramsIn, want+want/2)
 	}

@@ -9,8 +9,8 @@ import (
 	"stableleader/id"
 )
 
-// FlightDepthDefault is the per-shard flight-recorder depth when the
-// host does not configure one: enough to hold several full elections'
+// FlightDepthDefault is the Service's per-shard flight-recorder depth
+// (tests build smaller rings): enough to hold several full elections'
 // worth of decisions per shard while costing ~64 KiB per shard.
 const FlightDepthDefault = 1024
 

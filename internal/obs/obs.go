@@ -249,13 +249,10 @@ type Registry struct {
 }
 
 // NewRegistry allocates a registry with n shard slots, each flight ring
-// holding flightDepth records (FlightDepthDefault when <= 0).
+// holding flightDepth records.
 func NewRegistry(n, flightDepth int) *Registry {
 	if n < 1 {
 		n = 1
-	}
-	if flightDepth <= 0 {
-		flightDepth = FlightDepthDefault
 	}
 	r := &Registry{slots: make([]registrySlot, n)}
 	for i := range r.slots {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestCounterRegistry(t *testing.T) {
-	r := NewRegistry(2, 0)
+	r := NewRegistry(2, FlightDepthDefault)
 	r.Shard(0).Inc(CElectionsWon)
 	r.Shard(0).Add(CHeartbeats, 5)
 	r.Shard(1).Inc(CElectionsWon)

@@ -39,13 +39,6 @@ import (
 // causes IP fragmentation on common networks.
 const DefaultMaxBytes = 1200
 
-// Flushed is one datagram of a gathered drain: a flushed envelope (bare
-// message or *wire.Batch) and its destination. See Config.EmitBatch.
-type Flushed struct {
-	To  id.Process
-	Msg wire.Message
-}
-
 // Config parameterises a Scheduler.
 type Config struct {
 	// Clock provides time and timers (the host's event loop clock).
@@ -53,12 +46,6 @@ type Config struct {
 	// Emit transmits one flushed datagram: a bare message or a *wire.Batch.
 	// Ownership of the message (and a batch's slice) transfers to Emit.
 	Emit func(to id.Process, m wire.Message)
-	// EmitBatch, when non-nil, receives a whole gathered drain (FlushAll)
-	// as one slice instead of per-destination Emit calls, so a
-	// batch-capable transport can vector the drain into one kernel
-	// crossing. Ownership of each message transfers exactly as with Emit;
-	// the slice itself is scheduler scratch, valid only for the call.
-	EmitBatch func(batch []Flushed)
 	// MaxBytes overrides the flush threshold (default DefaultMaxBytes).
 	MaxBytes int
 	// Counters, when non-nil, receives outbound datagram accounting.
@@ -86,7 +73,6 @@ type queue struct {
 type Scheduler struct {
 	cfg     Config
 	queues  map[id.Process]*queue
-	scratch []Flushed // FlushAll's gather buffer, reused across drains
 	stopped bool
 }
 
@@ -165,59 +151,11 @@ func (s *Scheduler) Flush(to id.Process) {
 }
 
 // FlushAll drains every staging buffer, in destination order for
-// reproducibility. With an EmitBatch sink the whole drain goes out as
-// one gathered slice — one vectored send for a burst that would
-// otherwise pay a syscall per destination.
+// reproducibility.
 func (s *Scheduler) FlushAll() {
-	if s.cfg.EmitBatch == nil {
-		for _, to := range id.SortedMapKeys(s.queues) {
-			s.flush(to, s.queues[to])
-		}
-		return
-	}
-	s.scratch = s.scratch[:0]
 	for _, to := range id.SortedMapKeys(s.queues) {
-		if m, ok := s.take(s.queues[to]); ok {
-			s.scratch = append(s.scratch, Flushed{To: to, Msg: m})
-		}
+		s.flush(to, s.queues[to])
 	}
-	if len(s.scratch) == 0 {
-		return
-	}
-	s.cfg.EmitBatch(s.scratch)
-	for i := range s.scratch {
-		s.scratch[i] = Flushed{} // ownership moved; don't retain messages
-	}
-	s.scratch = s.scratch[:0]
-}
-
-// take removes q's staged messages as one datagram envelope and counts
-// it; ok is false when nothing is staged.
-func (s *Scheduler) take(q *queue) (m wire.Message, ok bool) {
-	if q.armed {
-		q.timer.Stop()
-		q.armed = false
-	}
-	n := len(q.msgs)
-	if n == 0 {
-		return nil, false
-	}
-	if n == 1 {
-		// Fast path: a lone message ships bare, byte-compatible with the
-		// pre-batch format. The slice slot is cleared so the staged buffer
-		// can be reused without retaining the message.
-		m = q.msgs[0]
-		q.msgs[0] = nil
-		q.msgs = q.msgs[:0]
-	} else {
-		// Ownership of the slice moves into the envelope (the host may
-		// retain it past Emit, e.g. a simulated in-flight datagram).
-		m = &wire.Batch{Msgs: q.msgs}
-		q.msgs = nil
-	}
-	q.bytes = 0
-	s.cfg.Counters.CountOut(n, m.WireSize()+wire.UDPOverhead)
-	return m, true
 }
 
 // Staged reports the scheduler's current staging depth: the total number
@@ -234,11 +172,33 @@ func (s *Scheduler) Staged() (msgs, dests int) {
 	return msgs, dests
 }
 
-// flush emits q's staged messages as one datagram.
+// flush emits q's staged messages as one counted datagram.
 func (s *Scheduler) flush(to id.Process, q *queue) {
-	if m, ok := s.take(q); ok {
-		s.cfg.Emit(to, m)
+	if q.armed {
+		q.timer.Stop()
+		q.armed = false
 	}
+	n := len(q.msgs)
+	if n == 0 {
+		return
+	}
+	var m wire.Message
+	if n == 1 {
+		// Fast path: a lone message ships bare, byte-compatible with the
+		// pre-batch format. The slice slot is cleared so the staged buffer
+		// can be reused without retaining the message.
+		m = q.msgs[0]
+		q.msgs[0] = nil
+		q.msgs = q.msgs[:0]
+	} else {
+		// Ownership of the slice moves into the envelope (the host may
+		// retain it past Emit, e.g. a simulated in-flight datagram).
+		m = &wire.Batch{Msgs: q.msgs}
+		q.msgs = nil
+	}
+	q.bytes = 0
+	s.cfg.Counters.CountOut(n, m.WireSize()+wire.UDPOverhead)
+	s.cfg.Emit(to, m)
 }
 
 // Stop halts the scheduler, dropping anything still staged (crash

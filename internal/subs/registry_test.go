@@ -378,7 +378,7 @@ func BenchmarkFanout(b *testing.B) {
 			wire.ReleaseOutbound(m)
 		},
 		Leader: func(id.Group) (View, bool) { return View{Leader: "w01", Elected: true}, true },
-		Obs:    obs.NewRegistry(1, 0).Shard(0),
+		Obs:    obs.NewRegistry(1, obs.FlightDepthDefault).Shard(0),
 	})
 	const subscribers = 1000
 	for i := 0; i < subscribers; i++ {
@@ -413,7 +413,7 @@ func TestFanoutAllocBudget(t *testing.T) {
 			wire.ReleaseOutbound(m)
 		},
 		Leader: func(id.Group) (View, bool) { return View{Leader: "w01", Elected: true}, true },
-		Obs:    obs.NewRegistry(1, 0).Shard(0),
+		Obs:    obs.NewRegistry(1, obs.FlightDepthDefault).Shard(0),
 	})
 	const subscribers = 1000
 	for i := 0; i < subscribers; i++ {

@@ -25,12 +25,12 @@ func TestBatchRoundTrip(t *testing.T) {
 		t.Errorf("batch round trip mismatch:\n sent %+v\n got  %+v", b, got)
 	}
 	// The flattening entry point returns the inner messages.
-	msgs, err := UnmarshalBatch(enc)
+	msgs, err := NewDecoder().DecodeAppend(nil, enc)
 	if err != nil {
-		t.Fatalf("UnmarshalBatch: %v", err)
+		t.Fatalf("DecodeAppend: %v", err)
 	}
 	if !reflect.DeepEqual(msgs, b.Msgs) {
-		t.Errorf("UnmarshalBatch mismatch:\n want %+v\n got  %+v", b.Msgs, msgs)
+		t.Errorf("DecodeAppend mismatch:\n want %+v\n got  %+v", b.Msgs, msgs)
 	}
 }
 
@@ -40,9 +40,9 @@ func TestBatchSingleMessageFastPathIsByteCompatible(t *testing.T) {
 	// clusters interoperate.
 	for _, m := range sampleMessages() {
 		enc := Marshal(m)
-		msgs, err := UnmarshalBatch(enc)
+		msgs, err := NewDecoder().DecodeAppend(nil, enc)
 		if err != nil {
-			t.Fatalf("%s: UnmarshalBatch of a bare message: %v", m.Kind(), err)
+			t.Fatalf("%s: DecodeAppend of a bare message: %v", m.Kind(), err)
 		}
 		if len(msgs) != 1 || !reflect.DeepEqual(msgs[0], m) {
 			t.Errorf("%s: bare message did not flatten to itself: %+v", m.Kind(), msgs)
@@ -250,4 +250,61 @@ func TestMarshalNestedBatchPanics(t *testing.T) {
 		}
 	}()
 	Marshal(&Batch{Msgs: []Message{&Batch{}}})
+}
+
+// TestWarmDecoderMatchesFresh pins the property the allocating codec fork
+// used to stand reference for: a Decoder whose freelists hold structs that
+// last carried other values decodes every kind exactly as a fresh Decoder
+// does — Release leaves nothing behind for the next decode to observe.
+func TestWarmDecoderMatchesFresh(t *testing.T) {
+	covered := map[Kind]bool{KindBatch: true}
+	for _, m := range sampleMessages() {
+		covered[m.Kind()] = true
+	}
+	for k := KindHello; k <= KindSuccessorHint; k++ {
+		if !covered[k] {
+			t.Fatalf("sampleMessages has no %s: the warm-up below would not dirty its freelist", k)
+		}
+	}
+	// loud sets every field of every kind; quiet sets only the header, so
+	// anything a recycled struct kept from loud shows up as a difference.
+	loud := Marshal(sampleBatch())
+	quiet := []Message{
+		&Hello{Group: "q", Sender: "p"}, &Join{Group: "q", Sender: "p"},
+		&Leave{Group: "q", Sender: "p"}, &Alive{Group: "q", Sender: "p"},
+		&Accuse{Group: "q", Sender: "p"}, &Rate{Group: "q", Sender: "p"},
+		&Subscribe{Group: "q", Sender: "p"}, &Unsubscribe{Group: "q", Sender: "p"},
+		&LeaderSnapshot{Group: "q", Sender: "p"}, &LeaseRenew{Group: "q", Sender: "p"},
+		&Standby{Group: "q", Sender: "p"}, &Handover{Group: "q", Sender: "p"},
+		&SuccessorHint{Group: "q", Sender: "p"},
+	}
+	// Twice each in one envelope: the freelists are LIFO and loud carries
+	// two ALIVEs, snapshots and nominations, so the second pop reaches the
+	// struct that held the fully populated one.
+	inputs := [][]byte{Marshal(&Batch{Msgs: append(append([]Message{}, quiet...), quiet...)})}
+	for _, m := range quiet {
+		inputs = append(inputs, Marshal(m))
+	}
+	warm := NewDecoder()
+	for _, enc := range inputs {
+		dirty, err := warm.Unmarshal(loud)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm.Release(dirty)
+		want, err := NewDecoder().DecodeAppend(nil, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := warm.DecodeAppend(nil, enc)
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("warm decode: %d messages, err %v; fresh gave %d", len(got), err, len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(want[i], got[i]) {
+				t.Fatalf("warm decoder diverged from a fresh one:\n fresh %+v\n warm  %+v", want[i], got[i])
+			}
+			warm.Release(got[i])
+		}
+	}
 }

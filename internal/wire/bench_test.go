@@ -87,17 +87,3 @@ func BenchmarkBatch(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkUnmarshalAlloc is the pre-refactor baseline: the allocating
-// Unmarshal, kept for comparison against BenchmarkUnmarshal.
-func BenchmarkUnmarshalAlloc(b *testing.B) {
-	enc := Marshal(benchAlive())
-	b.ReportAllocs()
-	b.SetBytes(int64(len(enc)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Unmarshal(enc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -1,7 +1,6 @@
 package wire
 
-// Decoder is the allocation-free receive side of the codec: it decodes the
-// same formats as Unmarshal/UnmarshalBatch but interns the strings it
+// Decoder is the receive side of the codec: it interns the strings it
 // produces (process and group ids recur on every datagram) and recycles
 // message structs handed back through Release. After warm-up the decode
 // path performs no heap allocation.
@@ -13,24 +12,47 @@ package wire
 type Decoder struct {
 	strings map[string]string
 
-	hellos     []*Hello
-	joins      []*Join
-	leaves     []*Leave
-	alives     []*Alive
-	accuses    []*Accuse
-	rates      []*Rate
-	subscribes []*Subscribe
-	unsubs     []*Unsubscribe
-	snapshots  []*LeaderSnapshot
-	renews     []*LeaseRenew
-	standbys   []*Standby
-	handovers  []*Handover
-	hints      []*SuccessorHint
-	batches    []*Batch
+	hellos     freelist[Hello]
+	joins      freelist[Join]
+	leaves     freelist[Leave]
+	alives     freelist[Alive]
+	accuses    freelist[Accuse]
+	rates      freelist[Rate]
+	subscribes freelist[Subscribe]
+	unsubs     freelist[Unsubscribe]
+	snapshots  freelist[LeaderSnapshot]
+	renews     freelist[LeaseRenew]
+	standbys   freelist[Standby]
+	handovers  freelist[Handover]
+	hints      freelist[SuccessorHint]
+	batches    freelist[Batch]
 
 	// unknown accumulates inner batch messages skipped for carrying an
 	// unrecognized kind (see TakeUnknown).
 	unknown int64
+}
+
+// freelist recycles the structs of one message kind.
+type freelist[T any] struct{ free []*T }
+
+// get returns a zeroed struct (slice capacity aside, see Release),
+// recycled when one is free.
+func (f *freelist[T]) get() *T {
+	if n := len(f.free); n > 0 {
+		t := f.free[n-1]
+		f.free = f.free[:n-1]
+		return t
+	}
+	return new(T)
+}
+
+// put clears t and takes it back; beyond maxFree the GC takes over.
+func (f *freelist[T]) put(t *T) {
+	var zero T
+	*t = zero
+	if len(f.free) < maxFree {
+		f.free = append(f.free, t)
+	}
 }
 
 // maxIntern bounds the interning table. Ids are few in practice; a flood of
@@ -46,8 +68,9 @@ func NewDecoder() *Decoder {
 	return &Decoder{strings: make(map[string]string)}
 }
 
-// Unmarshal decodes one datagram like the package-level Unmarshal, drawing
-// structs from the freelists and strings from the interning table.
+// Unmarshal decodes one datagram — a single message or a Batch envelope
+// (returned as a *Batch) — drawing structs from the freelists and strings
+// from the interning table.
 func (d *Decoder) Unmarshal(b []byte) (Message, error) {
 	r := reader{b: b, d: d}
 	m, err := unmarshalDatagram(&r)
@@ -79,7 +102,6 @@ func (d *Decoder) DecodeAppend(dst []Message, b []byte) ([]Message, error) {
 	}
 	if t, ok := m.(*Batch); ok {
 		dst = append(dst, t.Msgs...)
-		t.Msgs = t.Msgs[:0]
 		d.putBatch(t)
 		return dst, nil
 	}
@@ -107,199 +129,45 @@ func (d *Decoder) intern(raw []byte) string {
 func (d *Decoder) Release(m Message) {
 	switch t := m.(type) {
 	case *Hello:
-		members := t.Members[:0]
-		*t = Hello{Members: members}
-		if len(d.hellos) < maxFree {
-			d.hellos = append(d.hellos, t)
-		}
+		members := t.Members[:0] // the row capacity is recycled too
+		d.hellos.put(t)
+		t.Members = members
 	case *Join:
-		*t = Join{}
-		if len(d.joins) < maxFree {
-			d.joins = append(d.joins, t)
-		}
+		d.joins.put(t)
 	case *Leave:
-		*t = Leave{}
-		if len(d.leaves) < maxFree {
-			d.leaves = append(d.leaves, t)
-		}
+		d.leaves.put(t)
 	case *Alive:
-		*t = Alive{}
-		if len(d.alives) < maxFree {
-			d.alives = append(d.alives, t)
-		}
+		d.alives.put(t)
 	case *Accuse:
-		*t = Accuse{}
-		if len(d.accuses) < maxFree {
-			d.accuses = append(d.accuses, t)
-		}
+		d.accuses.put(t)
 	case *Rate:
-		*t = Rate{}
-		if len(d.rates) < maxFree {
-			d.rates = append(d.rates, t)
-		}
+		d.rates.put(t)
 	case *Subscribe:
-		*t = Subscribe{}
-		if len(d.subscribes) < maxFree {
-			d.subscribes = append(d.subscribes, t)
-		}
+		d.subscribes.put(t)
 	case *Unsubscribe:
-		*t = Unsubscribe{}
-		if len(d.unsubs) < maxFree {
-			d.unsubs = append(d.unsubs, t)
-		}
+		d.unsubs.put(t)
 	case *LeaderSnapshot:
-		*t = LeaderSnapshot{}
-		if len(d.snapshots) < maxFree {
-			d.snapshots = append(d.snapshots, t)
-		}
+		d.snapshots.put(t)
 	case *LeaseRenew:
-		*t = LeaseRenew{}
-		if len(d.renews) < maxFree {
-			d.renews = append(d.renews, t)
-		}
+		d.renews.put(t)
 	case *Standby:
-		*t = Standby{}
-		if len(d.standbys) < maxFree {
-			d.standbys = append(d.standbys, t)
-		}
+		d.standbys.put(t)
 	case *Handover:
-		*t = Handover{}
-		if len(d.handovers) < maxFree {
-			d.handovers = append(d.handovers, t)
-		}
+		d.handovers.put(t)
 	case *SuccessorHint:
-		*t = SuccessorHint{}
-		if len(d.hints) < maxFree {
-			d.hints = append(d.hints, t)
-		}
+		d.hints.put(t)
 	case *Batch:
 		for _, inner := range t.Msgs {
 			d.Release(inner)
 		}
-		t.Msgs = t.Msgs[:0]
 		d.putBatch(t)
 	}
 }
 
+// putBatch recycles an envelope whose inner messages have moved on,
+// keeping its slice capacity.
 func (d *Decoder) putBatch(t *Batch) {
-	if len(d.batches) < maxFree {
-		d.batches = append(d.batches, t)
-	}
-}
-
-func (d *Decoder) getHello() *Hello {
-	if n := len(d.hellos); n > 0 {
-		t := d.hellos[n-1]
-		d.hellos = d.hellos[:n-1]
-		return t
-	}
-	return &Hello{}
-}
-
-func (d *Decoder) getJoin() *Join {
-	if n := len(d.joins); n > 0 {
-		t := d.joins[n-1]
-		d.joins = d.joins[:n-1]
-		return t
-	}
-	return &Join{}
-}
-
-func (d *Decoder) getLeave() *Leave {
-	if n := len(d.leaves); n > 0 {
-		t := d.leaves[n-1]
-		d.leaves = d.leaves[:n-1]
-		return t
-	}
-	return &Leave{}
-}
-
-func (d *Decoder) getAlive() *Alive {
-	if n := len(d.alives); n > 0 {
-		t := d.alives[n-1]
-		d.alives = d.alives[:n-1]
-		return t
-	}
-	return &Alive{}
-}
-
-func (d *Decoder) getAccuse() *Accuse {
-	if n := len(d.accuses); n > 0 {
-		t := d.accuses[n-1]
-		d.accuses = d.accuses[:n-1]
-		return t
-	}
-	return &Accuse{}
-}
-
-func (d *Decoder) getRate() *Rate {
-	if n := len(d.rates); n > 0 {
-		t := d.rates[n-1]
-		d.rates = d.rates[:n-1]
-		return t
-	}
-	return &Rate{}
-}
-
-func (d *Decoder) getSubscribe() *Subscribe {
-	if n := len(d.subscribes); n > 0 {
-		t := d.subscribes[n-1]
-		d.subscribes = d.subscribes[:n-1]
-		return t
-	}
-	return &Subscribe{}
-}
-
-func (d *Decoder) getUnsubscribe() *Unsubscribe {
-	if n := len(d.unsubs); n > 0 {
-		t := d.unsubs[n-1]
-		d.unsubs = d.unsubs[:n-1]
-		return t
-	}
-	return &Unsubscribe{}
-}
-
-func (d *Decoder) getLeaderSnapshot() *LeaderSnapshot {
-	if n := len(d.snapshots); n > 0 {
-		t := d.snapshots[n-1]
-		d.snapshots = d.snapshots[:n-1]
-		return t
-	}
-	return &LeaderSnapshot{}
-}
-
-func (d *Decoder) getLeaseRenew() *LeaseRenew {
-	if n := len(d.renews); n > 0 {
-		t := d.renews[n-1]
-		d.renews = d.renews[:n-1]
-		return t
-	}
-	return &LeaseRenew{}
-}
-
-func (d *Decoder) getStandby() *Standby {
-	if n := len(d.standbys); n > 0 {
-		t := d.standbys[n-1]
-		d.standbys = d.standbys[:n-1]
-		return t
-	}
-	return &Standby{}
-}
-
-func (d *Decoder) getHandover() *Handover {
-	if n := len(d.handovers); n > 0 {
-		t := d.handovers[n-1]
-		d.handovers = d.handovers[:n-1]
-		return t
-	}
-	return &Handover{}
-}
-
-func (d *Decoder) getSuccessorHint() *SuccessorHint {
-	if n := len(d.hints); n > 0 {
-		t := d.hints[n-1]
-		d.hints = d.hints[:n-1]
-		return t
-	}
-	return &SuccessorHint{}
+	msgs := t.Msgs[:0]
+	d.batches.put(t)
+	t.Msgs = msgs
 }

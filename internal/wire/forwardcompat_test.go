@@ -42,7 +42,7 @@ func TestBatchSkipsUnknownKinds(t *testing.T) {
 	w.b = MarshalAppend(w.b, known2)
 	w.b = appendFutureItem(w.b, nil)
 
-	msgs, err := UnmarshalBatch(w.b)
+	msgs, err := NewDecoder().DecodeAppend(nil, w.b)
 	if err != nil {
 		t.Fatalf("batch with unknown inner kinds failed to decode: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestBatchAllUnknownKinds(t *testing.T) {
 	w.b = appendFutureItem(w.b, []byte{1, 2, 3})
 	w.b = appendFutureItem(w.b, []byte{4})
 
-	msgs, err := UnmarshalBatch(w.b)
+	msgs, err := NewDecoder().DecodeAppend(nil, w.b)
 	if err != nil {
 		t.Fatalf("all-unknown batch failed: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestPrePR8PeersSkipStandbyKinds(t *testing.T) {
 	raw := Marshal(b)
 
 	// Sanity: this build decodes all five.
-	all, err := UnmarshalBatch(raw)
+	all, err := NewDecoder().DecodeAppend(nil, raw)
 	if err != nil {
 		t.Fatalf("full decode: %v", err)
 	}
@@ -242,7 +242,7 @@ func TestClientPlaneInBatch(t *testing.T) {
 	if len(raw) != b.WireSize() {
 		t.Fatalf("batch WireSize %d != marshaled %d", b.WireSize(), len(raw))
 	}
-	got, err := UnmarshalBatch(raw)
+	got, err := NewDecoder().DecodeAppend(nil, raw)
 	if err != nil {
 		t.Fatal(err)
 	}

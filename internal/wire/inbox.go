@@ -29,15 +29,22 @@ func NewInbox() *Inbox { return &Inbox{dec: NewDecoder()} }
 //leadervet:acquires
 func (ib *Inbox) Decode(payload []byte) ([]Message, int64, error) {
 	ib.mu.Lock()
-	var msgs []Message
-	if n := len(ib.slices); n > 0 {
-		msgs = ib.slices[n-1][:0]
-		ib.slices = ib.slices[:n-1]
-	}
-	msgs, err := ib.dec.DecodeAppend(msgs, payload)
+	msgs, err := ib.dec.DecodeAppend(ib.popSlice(), payload)
 	unknown := ib.dec.TakeUnknown()
 	ib.mu.Unlock()
 	return msgs, unknown, err
+}
+
+// popSlice takes a recycled destination slice, nil when the pool is
+// empty. Called with mu held.
+func (ib *Inbox) popSlice() []Message {
+	n := len(ib.slices)
+	if n == 0 {
+		return nil
+	}
+	msgs := ib.slices[n-1][:0]
+	ib.slices = ib.slices[:n-1]
+	return msgs
 }
 
 // TakeSlice returns a recycled destination slice (nil when the pool is
@@ -49,13 +56,8 @@ func (ib *Inbox) Decode(payload []byte) ([]Message, int64, error) {
 //leadervet:acquires
 func (ib *Inbox) TakeSlice() []Message {
 	ib.mu.Lock()
-	var msgs []Message
-	if n := len(ib.slices); n > 0 {
-		msgs = ib.slices[n-1][:0]
-		ib.slices = ib.slices[:n-1]
-	}
-	ib.mu.Unlock()
-	return msgs
+	defer ib.mu.Unlock()
+	return ib.popSlice()
 }
 
 // Recycle returns a decoded message slice (and, when release is set, the

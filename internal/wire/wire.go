@@ -58,10 +58,9 @@
 // kind to an older one without poisoning the datagram's remaining traffic.
 // Pre-standby peers skip all three kinds above this way.
 //
-// Two codec surfaces exist: the convenient allocating one (Marshal,
-// Unmarshal, UnmarshalBatch) and the alloc-free one for hot paths
-// (MarshalAppend into a reused buffer, Decoder with string interning and
-// struct recycling via Release).
+// There is one codec: MarshalAppend into a caller's buffer (Marshal is it
+// over a fresh one), and a Decoder that interns strings and recycles
+// structs handed back through Release (Unmarshal is a fresh Decoder's).
 package wire
 
 import (
@@ -669,8 +668,8 @@ func (w *writer) boolean(v bool) {
 }
 
 // reader consumes big-endian fields from a byte slice, latching the first
-// error so call sites stay linear. A non-nil d makes string decoding intern
-// through the Decoder and message construction draw from its freelists.
+// error so call sites stay linear. Strings intern through d and message
+// structs come from its freelists.
 type reader struct {
 	b   []byte
 	off int
@@ -741,10 +740,7 @@ func (r *reader) str() string {
 	}
 	raw := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
-	if r.d != nil {
-		return r.d.intern(raw)
-	}
-	return string(raw)
+	return r.d.intern(raw)
 }
 
 func (r *reader) boolean() bool { return r.u8() != 0 }
@@ -863,28 +859,11 @@ func MarshalAppend(dst []byte, m Message) []byte {
 	return w.b
 }
 
-// Unmarshal decodes one datagram from b: either a single message or a
-// Batch envelope (returned as a *Batch).
+// Unmarshal decodes one datagram from b — a single message or a Batch
+// envelope (returned as a *Batch) — through a fresh Decoder. Hosts keep a
+// Decoder instead; this form serves tools and tests.
 func Unmarshal(b []byte) (Message, error) {
-	r := reader{b: b}
-	return unmarshalDatagram(&r)
-}
-
-// UnmarshalBatch decodes one datagram and flattens it: a Batch envelope
-// yields its inner messages, a bare message yields a one-element slice.
-// This is the receive-side entry point hosts use, tolerant of both wire
-// formats (the single-message fast path is byte-identical to the pre-batch
-// protocol). Inner messages with unknown kinds are silently skipped; use a
-// Decoder (TakeUnknown) when the skip count matters.
-func UnmarshalBatch(b []byte) ([]Message, error) {
-	m, err := Unmarshal(b)
-	if err != nil {
-		return nil, err
-	}
-	if t, ok := m.(*Batch); ok {
-		return t.Msgs, nil
-	}
-	return []Message{m}, nil
+	return NewDecoder().Unmarshal(b)
 }
 
 // unmarshalDatagram dispatches on the first byte: batch envelope or single
@@ -917,7 +896,7 @@ func unmarshalBatchEnvelope(r *reader) (Message, error) {
 		// before allocating.
 		return nil, fmt.Errorf("%w: count %d exceeds payload", ErrBadBatch, count)
 	}
-	t := r.newBatch(int(count))
+	t := r.d.batches.get()
 	for i := uint64(0); i < count; i++ {
 		l := r.uvarint()
 		if r.err != nil {
@@ -954,8 +933,8 @@ func unmarshalBatchEnvelope(r *reader) (Message, error) {
 		t.Msgs = append(t.Msgs, m)
 	}
 	if len(t.Msgs) == 0 {
-		// Canonical empty form, identical across the allocating and pooled
-		// decoders (a recycled batch would otherwise carry a non-nil slice).
+		// Canonical empty form, identical from a fresh and a recycled
+		// struct (the latter would otherwise carry a non-nil slice).
 		t.Msgs = nil
 	}
 	return t, nil
@@ -969,7 +948,7 @@ func unmarshalOne(r *reader) (Message, error) {
 	var m Message
 	switch kind {
 	case KindHello:
-		t := r.newHello()
+		t := r.d.hellos.get()
 		t.Group, t.Sender, t.Incarnation = group, sender, r.i64()
 		n := r.uvarint()
 		if r.err == nil && n > uint64(len(r.b)) {
@@ -986,21 +965,21 @@ func unmarshalOne(r *reader) (Message, error) {
 		}
 		if len(t.Members) == 0 {
 			// Canonical empty form: a recycled struct carries a non-nil
-			// zero-length slice, which must not be observable (the pooled
-			// and allocating decoders agree bit for bit).
+			// zero-length slice, which must not be observable (a warmed
+			// decoder and a fresh one agree bit for bit).
 			t.Members = nil
 		}
 		m = t
 	case KindJoin:
-		t := r.newJoin()
+		t := r.d.joins.get()
 		t.Group, t.Sender, t.Incarnation, t.Candidate = group, sender, r.i64(), r.boolean()
 		m = t
 	case KindLeave:
-		t := r.newLeave()
+		t := r.d.leaves.get()
 		t.Group, t.Sender, t.Incarnation = group, sender, r.i64()
 		m = t
 	case KindAlive:
-		t := r.newAlive()
+		t := r.d.alives.get()
 		t.Group, t.Sender, t.Incarnation = group, sender, r.i64()
 		t.Seq = r.uvarint()
 		t.SendTime = r.i64()
@@ -1014,7 +993,7 @@ func unmarshalOne(r *reader) (Message, error) {
 		}
 		m = t
 	case KindAccuse:
-		t := r.newAccuse()
+		t := r.d.accuses.get()
 		t.Group, t.Sender = group, sender
 		t.Incarnation = r.i64()
 		t.TargetIncarnation = r.i64()
@@ -1022,19 +1001,19 @@ func unmarshalOne(r *reader) (Message, error) {
 		t.At = r.i64()
 		m = t
 	case KindRate:
-		t := r.newRate()
+		t := r.d.rates.get()
 		t.Group, t.Sender, t.Incarnation, t.Interval = group, sender, r.i64(), r.i64()
 		m = t
 	case KindSubscribe:
-		t := r.newSubscribe()
+		t := r.d.subscribes.get()
 		t.Group, t.Sender, t.Incarnation, t.TTL = group, sender, r.i64(), r.i64()
 		m = t
 	case KindUnsubscribe:
-		t := r.newUnsubscribe()
+		t := r.d.unsubs.get()
 		t.Group, t.Sender, t.Incarnation = group, sender, r.i64()
 		m = t
 	case KindLeaderSnapshot:
-		t := r.newLeaderSnapshot()
+		t := r.d.snapshots.get()
 		t.Group, t.Sender, t.Incarnation = group, sender, r.i64()
 		t.Seq = r.uvarint()
 		flags := r.u8()
@@ -1046,18 +1025,18 @@ func unmarshalOne(r *reader) (Message, error) {
 		t.Lease = r.i64()
 		m = t
 	case KindLeaseRenew:
-		t := r.newLeaseRenew()
+		t := r.d.renews.get()
 		t.Group, t.Sender, t.Incarnation, t.TTL = group, sender, r.i64(), r.i64()
 		m = t
 	case KindStandby:
-		t := r.newStandby()
+		t := r.d.standbys.get()
 		t.Group, t.Sender, t.Incarnation = group, sender, r.i64()
 		t.Seq = r.uvarint()
 		t.Standby = id.Process(r.str())
 		t.StandbyInc = r.i64()
 		m = t
 	case KindHandover:
-		t := r.newHandover()
+		t := r.d.handovers.get()
 		t.Group, t.Sender, t.Incarnation = group, sender, r.i64()
 		t.Successor = id.Process(r.str())
 		t.SuccessorInc = r.i64()
@@ -1065,7 +1044,7 @@ func unmarshalOne(r *reader) (Message, error) {
 		t.At = r.i64()
 		m = t
 	case KindSuccessorHint:
-		t := r.newSuccessorHint()
+		t := r.d.hints.get()
 		t.Group, t.Sender, t.Incarnation = group, sender, r.i64()
 		t.Seq = r.uvarint()
 		t.Successor = id.Process(r.str())
@@ -1083,109 +1062,4 @@ func unmarshalOne(r *reader) (Message, error) {
 		return nil, r.err
 	}
 	return m, nil
-}
-
-// Allocation hooks: fresh structs without a Decoder, recycled ones with.
-
-func (r *reader) newHello() *Hello {
-	if r.d != nil {
-		return r.d.getHello()
-	}
-	return &Hello{}
-}
-
-func (r *reader) newJoin() *Join {
-	if r.d != nil {
-		return r.d.getJoin()
-	}
-	return &Join{}
-}
-
-func (r *reader) newLeave() *Leave {
-	if r.d != nil {
-		return r.d.getLeave()
-	}
-	return &Leave{}
-}
-
-func (r *reader) newAlive() *Alive {
-	if r.d != nil {
-		return r.d.getAlive()
-	}
-	return &Alive{}
-}
-
-func (r *reader) newAccuse() *Accuse {
-	if r.d != nil {
-		return r.d.getAccuse()
-	}
-	return &Accuse{}
-}
-
-func (r *reader) newRate() *Rate {
-	if r.d != nil {
-		return r.d.getRate()
-	}
-	return &Rate{}
-}
-
-func (r *reader) newSubscribe() *Subscribe {
-	if r.d != nil {
-		return r.d.getSubscribe()
-	}
-	return &Subscribe{}
-}
-
-func (r *reader) newUnsubscribe() *Unsubscribe {
-	if r.d != nil {
-		return r.d.getUnsubscribe()
-	}
-	return &Unsubscribe{}
-}
-
-func (r *reader) newLeaderSnapshot() *LeaderSnapshot {
-	if r.d != nil {
-		return r.d.getLeaderSnapshot()
-	}
-	return &LeaderSnapshot{}
-}
-
-func (r *reader) newLeaseRenew() *LeaseRenew {
-	if r.d != nil {
-		return r.d.getLeaseRenew()
-	}
-	return &LeaseRenew{}
-}
-
-func (r *reader) newStandby() *Standby {
-	if r.d != nil {
-		return r.d.getStandby()
-	}
-	return &Standby{}
-}
-
-func (r *reader) newHandover() *Handover {
-	if r.d != nil {
-		return r.d.getHandover()
-	}
-	return &Handover{}
-}
-
-func (r *reader) newSuccessorHint() *SuccessorHint {
-	if r.d != nil {
-		return r.d.getSuccessorHint()
-	}
-	return &SuccessorHint{}
-}
-
-func (r *reader) newBatch(capacity int) *Batch {
-	if r.d != nil {
-		if n := len(r.d.batches); n > 0 {
-			t := r.d.batches[n-1]
-			r.d.batches = r.d.batches[:n-1]
-			return t
-		}
-		return &Batch{}
-	}
-	return &Batch{Msgs: make([]Message, 0, capacity)}
 }

@@ -49,7 +49,6 @@ type serviceConfig struct {
 	seed        int64
 	clientPlane bool
 	shards      int
-	flightDepth int
 }
 
 // Option configures a Service at construction (see New).
@@ -100,22 +99,6 @@ func WithClientPlane() Option {
 	}
 }
 
-// WithFlightRecorderDepth sizes each shard's protocol flight recorder:
-// the fixed ring of per-shard decision records (suspicions, rank
-// changes, handovers, leader changes) DumpFlight and the /debug/flight
-// probe expose. The default keeps the last 1024 records per shard; a
-// larger ring extends the lookback window at a fixed memory cost of
-// ~64 B per record, decided once at construction.
-func WithFlightRecorderDepth(n int) Option {
-	return func(c *serviceConfig) error {
-		if n < 1 {
-			return errors.New("stableleader: flight recorder depth must be at least 1")
-		}
-		c.flightDepth = n
-		return nil
-	}
-}
-
 // joinConfig is the validated result of applying JoinOptions; defaults
 // live in defaultJoinConfig.
 type joinConfig struct {
@@ -126,7 +109,6 @@ type joinConfig struct {
 	helloInterval       time.Duration
 	gossipFanout        int
 	reconfigureInterval time.Duration
-	disableHandover     bool
 }
 
 // defaultJoinConfig is the paper's setting: a passive observer running
@@ -222,18 +204,6 @@ func WithReconfigureInterval(d time.Duration) JoinOption {
 			return errors.New("stableleader: reconfigure interval must be positive")
 		}
 		c.reconfigureInterval = d
-		return nil
-	}
-}
-
-// WithoutHandover disables the warm-standby plane for this membership: no
-// standby is nominated or adopted, and graceful departures fail the group
-// over reactively (peers wait out failure detection; clients wait out
-// their leases). Exists for experiments measuring what planned handover
-// buys; production memberships should not use it.
-func WithoutHandover() JoinOption {
-	return func(c *joinConfig) error {
-		c.disableHandover = true
 		return nil
 	}
 }

@@ -1,6 +1,6 @@
 package stableleader
 
-// The multi-core saturation benchmark behind BENCH_pr5.json: K groups,
+// The multi-core saturation benchmark behind BENCH.json: K groups,
 // each with a remote peer and M subscribed clients, driven with a mixed
 // inbound workload (membership HELLOs and client-plane LEASE_RENEWs)
 // through the full receive path — pooled decode, steering, the bounded
@@ -78,7 +78,7 @@ func newSatHarness(b *testing.B, shards int, slice bool) *satHarness {
 		}
 		// One remote member per group, so HELLOs exercise a real
 		// membership merge.
-		svc.onDatagram(wire.MarshalAppend(nil, &wire.Join{
+		svc.deliver(wire.MarshalAppend(nil, &wire.Join{
 			Group: all[i], Sender: "zz", Incarnation: 1,
 		}))
 	}
@@ -103,7 +103,7 @@ func newSatHarness(b *testing.B, shards int, slice bool) *satHarness {
 	// renewals and background re-advertisement sweeps ride the loops).
 	for c := 0; c < satClients; c++ {
 		for _, g := range all {
-			svc.onDatagram(wire.MarshalAppend(nil, &wire.Subscribe{
+			svc.deliver(wire.MarshalAppend(nil, &wire.Subscribe{
 				Group: g, Sender: id.Process(fmt.Sprintf("cl%03d", c)),
 				Incarnation: 1, TTL: int64(time.Second),
 			}))
@@ -177,9 +177,9 @@ func (h *satHarness) drive(b *testing.B, n int) {
 				k := p + i*producers
 				g := k % len(h.gids)
 				if k%8 == 7 {
-					h.svc.onDatagram(h.renews[g][k%satClients])
+					h.svc.deliver(h.renews[g][k%satClients])
 				} else {
-					h.svc.onDatagram(h.hellos[g])
+					h.svc.deliver(h.hellos[g])
 				}
 			}
 		}()

@@ -18,7 +18,6 @@ import (
 	"stableleader/internal/group"
 	"stableleader/internal/metrics"
 	"stableleader/internal/obs"
-	"stableleader/internal/outbound"
 	"stableleader/internal/subs"
 	"stableleader/internal/timerwheel"
 	"stableleader/internal/wire"
@@ -49,14 +48,12 @@ type Service struct {
 	tr   transport.Transport
 	inc  int64 // one process lifetime, shared by every shard's node
 
-	// batchTr/hintTr are tr's optional batched and socket-steered send
-	// doors (the UDP transport implements both): non-nil when available,
-	// detected once at New. With batchTr set, every shard stages its sends
-	// and flushes them as whole vectors — one sendmmsg per loop wakeup
-	// instead of one syscall per datagram; hintTr additionally pins each
-	// shard's traffic to its own send socket.
-	batchTr transport.BatchSender
-	hintTr  transport.HintedSender
+	// vec is the one send door, chosen once at New: tr's own vectored door
+	// where it has one (UDP: one sendmmsg per loop wakeup instead of one
+	// syscall per datagram, each shard pinned to its own send socket),
+	// otherwise a loop of tr.Send. Every shard stages its sends and
+	// flushes them through it.
+	vec transport.VectorSender
 
 	// shards are the event-loop shards; groups map onto them by stable
 	// hash (shardIndex). Immutable after New.
@@ -78,7 +75,7 @@ type Service struct {
 	obs *obs.Registry
 
 	// learner, when non-nil, is the SourceAware transport the client
-	// plane learns client addresses through (see onDatagramFrom).
+	// plane learns client addresses through (see onDatagram).
 	learner transport.SourceAware
 
 	// inboxes pools wire decode harnesses for the receive hot path: the
@@ -187,13 +184,12 @@ func New(self id.Process, tr transport.Transport, opts ...Option) (*Service, err
 		groups:   make(map[id.Group]*Group),
 	}
 	s.inboxes.New = func() any { return wire.NewInbox() }
-	if bt, ok := tr.(transport.BatchSender); ok {
-		s.batchTr = bt
+	if vs, ok := tr.(transport.VectorSender); ok {
+		s.vec = vs
+	} else {
+		s.vec = sendLoop{tr}
 	}
-	if ht, ok := tr.(transport.HintedSender); ok {
-		s.hintTr = ht
-	}
-	s.obs = obs.NewRegistry(nshards, cfg.flightDepth)
+	s.obs = obs.NewRegistry(nshards, obs.FlightDepthDefault)
 	s.shards = make([]*serviceShard, nshards)
 	for i := range s.shards {
 		sh := &serviceShard{
@@ -226,9 +222,9 @@ func New(self id.Process, tr transport.Transport, opts ...Option) (*Service, err
 		// anticipate: learn each one's address from its own client-plane
 		// traffic and answer through the learned mapping.
 		s.learner = sa
-		sa.ReceiveFrom(s.onDatagramFrom)
+		sa.ReceiveFrom(s.onDatagram)
 	} else {
-		tr.Receive(s.onDatagram)
+		tr.Receive(func(payload []byte) { s.onDatagram(payload, netip.AddrPort{}) })
 	}
 	for _, sh := range s.shards {
 		go sh.loop()
@@ -426,22 +422,14 @@ func (sh *serviceShard) call(ctx context.Context, fn func()) error {
 // recycle-after-handle contract holds by construction. Safe for
 // concurrent delivery (multi-receiver transports).
 //
-//leadervet:hotpath
-func (s *Service) onDatagram(payload []byte) {
-	s.dispatchDatagram(payload, netip.AddrPort{})
-}
-
-// onDatagramFrom is the SourceAware receive path: onDatagram plus the
-// datagram's network source, which client-plane messages feed into the
-// transport's address book. Only SUBSCRIBE/LEASE_RENEW/UNSUBSCRIBE teach
-// addresses — member traffic never rewrites the static book, so a spoofed
+// src is the datagram's network source where the transport exposes it
+// (SourceAware) and the client plane is on, invalid otherwise: only
+// SUBSCRIBE/LEASE_RENEW/UNSUBSCRIBE teach it to the transport's address
+// book — member traffic never rewrites the static book, so a spoofed
 // heartbeat cannot redirect protocol traffic.
-func (s *Service) onDatagramFrom(payload []byte, src netip.AddrPort) {
-	s.dispatchDatagram(payload, src)
-}
-
+//
 //leadervet:hotpath
-func (s *Service) dispatchDatagram(payload []byte, src netip.AddrPort) {
+func (s *Service) onDatagram(payload []byte, src netip.AddrPort) {
 	ib := s.inboxes.Get().(*wire.Inbox)
 	msgs, unknown, err := ib.Decode(payload)
 	if errors.Is(err, wire.ErrUnknownKind) {
@@ -567,9 +555,7 @@ func (s *Service) ID() id.Process { return s.self }
 // account their kernel crossings, like UDP — the syscall columns behind
 // them. Safe from any goroutine.
 func (s *Service) PacketStats() PacketStats {
-	// A struct conversion, so a counter added to the internal set without
-	// a public mirror fails to compile instead of silently reporting zero.
-	ps := PacketStats(s.counters.Snapshot())
+	ps := s.counters.Snapshot()
 	if st, ok := s.tr.(transport.IOStatser); ok {
 		io := st.IOStats()
 		ps.RecvSyscalls = io.RecvSyscalls
@@ -620,7 +606,6 @@ func (s *Service) Join(ctx context.Context, g id.Group, opts ...JoinOption) (*Gr
 			HelloInterval:       cfg.helloInterval,
 			GossipFanout:        cfg.gossipFanout,
 			ReconfigureInterval: cfg.reconfigureInterval,
-			DisableHandover:     cfg.disableHandover,
 			OnLeaderChange: func(li core.LeaderInfo) {
 				grp.publish(LeaderChanged{Info: publicInfo(li)})
 			},
@@ -834,11 +819,11 @@ type serviceRuntime struct {
 	// fires a batch of deadlines; the single kick afterwards covers them.
 	advancing bool //leadervet:loopOwned
 
-	// Send staging (only with a batch-capable transport): marshalled
-	// datagrams accumulate here during one loop wakeup and leave as one
-	// vectored send — flushSends runs at the end of every loop arm, or
-	// mid-arm when the vector fills. pendBuf keeps the pooled marshal
-	// buffer of each staged payload so the flush can recycle it.
+	// Send staging: marshalled datagrams accumulate here during one loop
+	// wakeup and leave as one vectored send — flushSends runs at the end
+	// of every loop arm, or mid-arm when the vector fills. pendBuf keeps
+	// the pooled marshal buffer of each staged payload so the flush can
+	// recycle it.
 	pend    [sendVector]transport.Datagram //leadervet:loopOwned
 	pendBuf [sendVector]*[]byte            //leadervet:loopOwned
 	npend   int                            //leadervet:loopOwned
@@ -957,39 +942,42 @@ func (r *serviceRuntime) stopDriver() {
 }
 
 // sendBufPool recycles marshal buffers across sends: transports do not
-// retain the payload after Send returns (see the Transport contract), so
-// the buffer goes straight back into the pool and the send hot path stays
-// allocation-free. Shared across shards (sync.Pool scales with Ps).
+// retain the payload after the send call returns (see the Transport
+// contract), so flushSends puts each buffer straight back and the send
+// hot path stays allocation-free. Shared across shards (sync.Pool scales
+// with Ps).
 var sendBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 2048); return &b },
 }
 
+// sendLoop is the vectored send door of a Send-only transport: a vector
+// is that many Sends, in order.
+type sendLoop struct{ tr transport.Transport }
+
+func (l sendLoop) SendVector(_ int, batch []transport.Datagram) (sent int, err error) {
+	for _, d := range batch {
+		if serr := l.tr.Send(d.To, d.Payload); serr == nil {
+			sent++
+		} else if err == nil {
+			err = serr
+		}
+	}
+	return sent, err
+}
+
 // Send implements core.Runtime. m is a bare message or a *wire.Batch the
-// outbound scheduler flushed; either way it is one datagram. Once the
-// bytes are handed to the transport the message is dead, so pool-managed
-// kinds (the client plane's fan-out snapshots) are recycled here — the
-// release half of the send pool that keeps a 10k-subscriber fan-out
-// allocation-free.
+// outbound scheduler flushed; either way it is one datagram, marshalled
+// here and staged for flushSends. Once marshalled the message is dead, so
+// pool-managed kinds (the client plane's fan-out snapshots) are recycled
+// here — the release half of the send pool that keeps a 10k-subscriber
+// fan-out allocation-free.
 //
+//leadervet:onLoop
 //leadervet:hotpath
 func (r *serviceRuntime) Send(to id.Process, m wire.Message) {
 	bp := sendBufPool.Get().(*[]byte)
-	buf := wire.MarshalAppend((*bp)[:0], m)
-	svc := r.sh.svc
-	if svc.batchTr == nil {
-		_ = svc.tr.Send(to, buf)
-		*bp = buf[:0]
-		sendBufPool.Put(bp)
-		wire.ReleaseOutbound(m)
-		return
-	}
-	// Batch-capable transport: stage instead of sending. The marshal
-	// buffer stays out of the pool (pendBuf holds it) until flushSends
-	// hands the staged payloads to the transport; the Transport contract
-	// still holds — the transport sees the bytes only during the batch
-	// call.
-	*bp = buf
-	r.pend[r.npend] = transport.Datagram{To: to, Payload: buf}
+	*bp = wire.MarshalAppend((*bp)[:0], m)
+	r.pend[r.npend] = transport.Datagram{To: to, Payload: *bp}
 	r.pendBuf[r.npend] = bp
 	r.npend++
 	wire.ReleaseOutbound(m)
@@ -998,21 +986,10 @@ func (r *serviceRuntime) Send(to id.Process, m wire.Message) {
 	}
 }
 
-// SendBatch implements core.BatchSender: the outbound scheduler's
-// gathered drains land in the same staging vector Send feeds, so a
-// multi-destination drain leaves as one sendmmsg.
-//
-//leadervet:onLoop
-func (r *serviceRuntime) SendBatch(batch []outbound.Flushed) {
-	for _, f := range batch {
-		r.Send(f.To, f.Msg)
-	}
-}
-
-// flushSends transmits the staged datagrams as one vector on the
-// transport's batch door, steered to this shard's send socket, then
-// recycles the marshal buffers. Runs on the shard loop; the loop calls
-// it before blocking, so nothing ever lingers staged across a wait.
+// flushSends transmits the staged datagrams as one vector through the
+// service's send door, hinted with this shard's index, then recycles the
+// marshal buffers. Runs on the shard loop; the loop calls it before
+// blocking, so nothing ever lingers staged across a wait.
 //
 //leadervet:onLoop
 func (r *serviceRuntime) flushSends() {
@@ -1020,21 +997,9 @@ func (r *serviceRuntime) flushSends() {
 	if n == 0 {
 		return
 	}
-	svc := r.sh.svc
-	if n == 1 {
-		// One datagram needs no vector; the hint still keeps the shard on
-		// its own socket.
-		d := r.pend[0]
-		if svc.hintTr != nil {
-			_ = svc.hintTr.SendHint(transport.SenderHint(r.sh.idx), d.To, d.Payload)
-		} else {
-			_ = svc.tr.Send(d.To, d.Payload)
-		}
-	} else if svc.hintTr != nil {
-		_, _ = svc.hintTr.SendBatchHint(transport.SenderHint(r.sh.idx), r.pend[:n])
-	} else {
-		_, _ = svc.batchTr.SendBatch(r.pend[:n])
-	}
+	// Best effort, like every send of this protocol: a datagram the
+	// transport could not send is one the network lost.
+	_, _ = r.sh.svc.vec.SendVector(r.sh.idx, r.pend[:n])
 	for i := 0; i < n; i++ {
 		bp := r.pendBuf[i]
 		*bp = (*bp)[:0]

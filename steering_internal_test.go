@@ -3,6 +3,7 @@ package stableleader
 import (
 	"context"
 	"fmt"
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,9 @@ import (
 	"stableleader/internal/wire"
 	"stableleader/transport"
 )
+
+// deliver is the receive callback as a source-less transport invokes it.
+func (s *Service) deliver(payload []byte) { s.onDatagram(payload, netip.AddrPort{}) }
 
 // pickCrossShardGroups returns count group ids that hash onto pairwise
 // distinct shards of s, so tests can force genuinely cross-shard traffic.
@@ -60,7 +64,7 @@ func TestSteeringSplitsBatchAcrossShards(t *testing.T) {
 		&wire.Join{Group: gids[0], Sender: "zz", Incarnation: 1, Candidate: false},
 		&wire.Join{Group: gids[1], Sender: "zz", Incarnation: 1, Candidate: false},
 	}}
-	s.onDatagram(wire.MarshalAppend(nil, batch))
+	s.deliver(wire.MarshalAppend(nil, batch))
 
 	// Both shards must process their share: the fake member appears in
 	// each group's membership.
@@ -115,7 +119,7 @@ func TestSteeringSingleShardGroupFastPath(t *testing.T) {
 		&wire.Join{Group: g, Sender: "z1", Incarnation: 1},
 		&wire.Join{Group: g, Sender: "z2", Incarnation: 1},
 	}}
-	s.onDatagram(wire.MarshalAppend(nil, batch))
+	s.deliver(wire.MarshalAppend(nil, batch))
 	grp := s.groups[g]
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -232,7 +236,7 @@ func TestCloseDuringTimerStormAcrossShards(t *testing.T) {
 						return
 					default:
 					}
-					s.onDatagram(payloads[(w+i)%len(payloads)])
+					s.deliver(payloads[(w+i)%len(payloads)])
 				}
 			}(w)
 		}

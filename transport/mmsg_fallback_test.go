@@ -3,8 +3,8 @@ package transport
 // Fallback-ladder coverage for the syscall-batched packet plane, all of
 // it portable: every test here must pass identically with the fast path
 // compiled in (linux/amd64, linux/arm64), compiled out (other
-// platforms), force-disabled (WithBatchIO(false), STABLELEADER_UDP_BATCH)
-// or runtime-downgraded — that equivalence IS the fallback contract.
+// platforms) or runtime-downgraded — that equivalence IS the fallback
+// contract.
 
 import (
 	"fmt"
@@ -35,15 +35,23 @@ func newUDPPair(t testing.TB, opts ...UDPOption) (send, recv *UDP, rec *recorder
 	return send, recv, rec
 }
 
+// lane picks the I/O lane a test transport starts on. No shipped option
+// does: outside tests the build tag and the runtime downgrade latch are
+// the only selectors, so the classic lane on a batching platform is
+// reachable only from here.
+func lane(batched bool) UDPOption {
+	return func(c *udpConfig) { c.batchIO = batched }
+}
+
 // batchModes are the configurations every semantic test runs under: the
-// platform fast path (where it exists) and the forced classic path must
-// be observationally identical.
+// platform fast path (where it exists) and the classic path must be
+// observationally identical.
 var batchModes = []struct {
 	name string
 	opt  UDPOption
 }{
-	{"batched", WithBatchIO(true)},
-	{"classic", WithBatchIO(false)},
+	{"batched", lane(true)},
+	{"classic", lane(false)},
 }
 
 func TestSendBatchSemantics(t *testing.T) {
@@ -145,30 +153,6 @@ func TestSendBatchAfterClose(t *testing.T) {
 	}
 }
 
-func TestBatchEnvDisable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real sockets in -short mode")
-	}
-	t.Setenv(batchEnvVar, "off")
-	u, err := NewUDP("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u.Close()
-	if u.BatchIO() {
-		t.Errorf("%s=off must disable the batched packet plane", batchEnvVar)
-	}
-	// An explicit option outranks the environment default.
-	u2, err := NewUDP("127.0.0.1:0", nil, WithBatchIO(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u2.Close()
-	if u2.BatchIO() != mmsgSupported {
-		t.Errorf("WithBatchIO(true): BatchIO() = %v, want %v", u2.BatchIO(), mmsgSupported)
-	}
-}
-
 func TestSendHintDelivery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets in -short mode")
@@ -189,11 +173,12 @@ func TestSendHintDelivery(t *testing.T) {
 	defer send.Close()
 	// Every hint must deliver, whatever socket it lands on; a fixed hint
 	// must always pick the same socket (ordering contract).
-	for h := SenderHint(0); h < 8; h++ {
+	for h := 0; h < 8; h++ {
 		if send.sendConn(h) != send.sendConn(h) {
 			t.Fatalf("hint %d is not stable", h)
 		}
-		if err := send.SendHint(h, "r", []byte(fmt.Sprintf("h%d", h))); err != nil {
+		one := []Datagram{{To: "r", Payload: []byte(fmt.Sprintf("h%d", h))}}
+		if _, err := send.SendVector(h, one); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,7 +187,7 @@ func TestSendHintDelivery(t *testing.T) {
 		// With several sockets, distinct hints must not all collapse onto
 		// conns[0] — that is the bottleneck this API removes.
 		distinct := map[interface{}]bool{}
-		for h := SenderHint(0); h < SenderHint(send.Receivers()); h++ {
+		for h := 0; h < send.Receivers(); h++ {
 			distinct[send.sendConn(h)] = true
 		}
 		if len(distinct) != send.Receivers() {
@@ -236,7 +221,7 @@ func TestSendBatchCloseRace(t *testing.T) {
 			stop := make(chan struct{})
 			for g := 0; g < 4; g++ {
 				wg.Add(1)
-				go func(h SenderHint) {
+				go func(h int) {
 					defer wg.Done()
 					for {
 						select {
@@ -246,10 +231,10 @@ func TestSendBatchCloseRace(t *testing.T) {
 						}
 						// Errors are expected once Close lands; panics and
 						// races are what this test hunts.
-						_, _ = send.SendBatchHint(h, batch)
-						_ = send.SendHint(h, "r", batch[0].Payload)
+						_, _ = send.SendVector(h, batch)
+						_, _ = send.SendVector(h, batch[:1])
 					}
-				}(SenderHint(g))
+				}(g)
 			}
 			time.Sleep(20 * time.Millisecond)
 			if err := send.Close(); err != nil {
@@ -269,7 +254,7 @@ func TestIOStatsCountsClassicPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets in -short mode")
 	}
-	send, recv, rec := newUDPPair(t, WithBatchIO(false))
+	send, recv, rec := newUDPPair(t, lane(false))
 	const n = 10
 	for i := 0; i < n; i++ {
 		if err := send.Send("r", []byte("count-me")); err != nil {

@@ -23,7 +23,7 @@ func TestMmsgSendVectorAccounting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets in -short mode")
 	}
-	send, _, rec := newUDPPair(t, WithBatchIO(true))
+	send, _, rec := newUDPPair(t)
 	if !send.BatchIO() {
 		t.Fatal("batched plane should be active on this platform")
 	}
@@ -53,7 +53,7 @@ func TestMmsgRecvBatchingUnderBurst(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets in -short mode")
 	}
-	recv, err := NewUDP("127.0.0.1:0", nil, WithBatchIO(true))
+	recv, err := NewUDP("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestMmsgRuntimeDowngradeENOSYS(t *testing.T) {
 	sendmmsgFn = func(fd uintptr, hdrs []mmsghdr, flags int) (int, syscall.Errno) {
 		return 0, syscall.ENOSYS
 	}
-	send, _, rec := newUDPPair(t, WithBatchIO(true))
+	send, _, rec := newUDPPair(t)
 	batch := []Datagram{
 		{To: "r", Payload: []byte("after")},
 		{To: "r", Payload: []byte("enosys")},
@@ -163,7 +163,7 @@ func TestMmsgPartialSendRetried(t *testing.T) {
 		}
 		return origSend(fd, hdrs, flags)
 	}
-	send, _, rec := newUDPPair(t, WithBatchIO(true))
+	send, _, rec := newUDPPair(t)
 	const n = 7
 	batch := make([]Datagram, n)
 	for i := range batch {
@@ -189,7 +189,7 @@ func TestMmsgGSOCoalescedRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets in -short mode")
 	}
-	send, _, rec := newUDPPair(t, WithBatchIO(true))
+	send, _, rec := newUDPPair(t)
 	if !send.gsoOK {
 		t.Skip("kernel without UDP_SEGMENT")
 	}

@@ -15,8 +15,6 @@ import (
 
 const mmsgSupported = false
 
-const mmsgRecvBatch = 1
-
 func mmsgDowngradeError(error) bool { return false }
 
 type mmsgReader struct{}

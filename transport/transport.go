@@ -52,10 +52,15 @@ type Datagram struct {
 	Payload []byte
 }
 
-// BatchSender is implemented by transports that can hand several
-// datagrams to the network in fewer syscalls than one per datagram.
+// VectorSender is the optional vectored send door: implemented by
+// transports that can hand several datagrams to the network in fewer
+// syscalls than one per datagram. The service stages each event-loop
+// wakeup's sends and flushes them through it in one call; what a vector
+// becomes on the wire — sendmmsg, GSO super-datagrams, a plain write for
+// a vector of one, a loop of writes where the kernel offers nothing
+// better — is the transport's decision alone.
 //
-// SendBatch attempts every datagram in the batch: each entry is
+// SendVector attempts every datagram in the batch: each entry is
 // independent best effort (exactly as if sent through Send one by one, in
 // order), so one unresolvable destination or transient send error skips
 // that entry rather than aborting the rest. sent is the number of
@@ -65,26 +70,15 @@ type Datagram struct {
 // remainder is never silently dropped. Per-destination payload order is
 // preserved: batch[i] and batch[j] to the same destination leave the
 // socket in index order.
-type BatchSender interface {
-	SendBatch(batch []Datagram) (sent int, err error)
-}
-
-// SenderHint pins a caller's traffic to one send socket of a
-// multi-socket transport. Callers that send concurrently (the sharded
-// service's event-loop shards) pass a stable per-caller hint so their
-// streams stop funneling through one socket's write lock; a given hint
-// always selects the same socket, which preserves per-(hint,
-// destination) send order. Hints beyond the socket count wrap around.
-type SenderHint int
-
-// HintedSender is implemented by transports with more than one send
-// socket (the UDP transport in multi-receiver mode): Send/SendBatch
-// variants that let the caller steer its traffic onto a stable socket
-// instead of the default first one. Semantics are otherwise identical to
-// Send and SendBatch.
-type HintedSender interface {
-	SendHint(h SenderHint, to id.Process, payload []byte) error
-	SendBatchHint(h SenderHint, batch []Datagram) (sent int, err error)
+//
+// hint pins a caller's traffic to one send socket of a multi-socket
+// transport. Callers that send concurrently (the sharded service's
+// event-loop shards) pass a stable per-caller hint so their streams stop
+// funneling through one socket's write lock; a given hint always selects
+// the same socket, which preserves per-(hint, destination) send order.
+// Hints beyond the socket count wrap around.
+type VectorSender interface {
+	SendVector(hint int, batch []Datagram) (sent int, err error)
 }
 
 // IOStats counts the syscall-level traffic of a transport: how many

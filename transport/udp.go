@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
-	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -25,19 +23,6 @@ const (
 	famIPv4 = 4
 	famIPv6 = 6
 )
-
-// batchEnvVar force-disables the syscall-batched packet plane when set
-// to an off value — the escape hatch for CI's portable-path runs and for
-// production triage without a rebuild.
-const batchEnvVar = "STABLELEADER_UDP_BATCH"
-
-func batchEnvDefault() bool {
-	switch strings.ToLower(os.Getenv(batchEnvVar)) {
-	case "0", "off", "false", "no":
-		return false
-	}
-	return true
-}
 
 // maxLearnedPeers bounds the learned (non-pinned) half of the address
 // book: a spray of datagrams with unique sender ids must not grow memory
@@ -73,9 +58,9 @@ func putPayloadBuf(bp *[]byte) {
 	payloadPool.Put(bp)
 }
 
-// sendScratch is the per-SendBatch-chunk working state: resolved
+// sendScratch is the per-SendVector-chunk working state: resolved
 // destination addresses, per-entry resolve/routing flags, and the
-// platform sendmmsg vector. Pooled because SendBatch runs on every
+// platform sendmmsg vector. Pooled because SendVector runs on every
 // shard's flush path.
 type sendScratch struct {
 	addrs  [maxSendBatch]netip.AddrPort
@@ -124,11 +109,11 @@ type UDP struct {
 	// family is the socket address family (famIPv4/famIPv6), fixed at
 	// construction; the raw sendmmsg path encodes sockaddrs for it.
 	family int
-	// batch enables the syscall-batched packet plane (WithBatchIO and the
-	// STABLELEADER_UDP_BATCH environment variable); mmsgDown latches the
-	// runtime downgrade when the kernel or a seccomp policy refuses
-	// recvmmsg/sendmmsg, demoting both directions to the classic
-	// one-datagram-per-syscall path for the transport's lifetime.
+	// batch is set where the build carries the syscall-batched packet
+	// plane (mmsgSupported); mmsgDown latches the runtime downgrade when
+	// the kernel or a seccomp policy refuses recvmmsg/sendmmsg, demoting
+	// both directions to the classic one-datagram-per-syscall path for the
+	// transport's lifetime.
 	batch    bool
 	mmsgDown atomic.Bool
 	// gsoOK records whether the kernel accepts UDP_SEGMENT (probed once
@@ -150,19 +135,20 @@ type UDP struct {
 	// SetPeer) rather than learned: LearnPeer must never overwrite them,
 	// or one spoofed client-plane datagram naming a member id would
 	// redirect that member's protocol traffic to the attacker.
-	pinned  map[id.Process]bool
-	handler func([]byte)
-	// srcHandler is the SourceAware alternative to handler: at most one
-	// of the two is installed.
-	srcHandler func([]byte, netip.AddrPort)
-	closed     bool
+	pinned map[id.Process]bool
+	// handler is the one delivery slot: ReceiveFrom installs it, Receive
+	// installs a wrapper that drops the source.
+	handler func([]byte, netip.AddrPort)
+	closed  bool
 }
 
 // udpConfig is the result of applying UDPOptions.
 type udpConfig struct {
 	receivers int
-	batchIO   bool
-	sockBuf   int
+	// batchIO is true outside tests; the transport suite clears it to run
+	// every shared case on the classic lane as well.
+	batchIO bool
+	sockBuf int
 }
 
 // UDPOption configures a UDP transport at construction (see NewUDP).
@@ -180,17 +166,6 @@ func WithReceivers(n int) UDPOption {
 			c.receivers = n
 		}
 	}
-}
-
-// WithBatchIO forces the syscall-batched packet plane (recvmmsg/sendmmsg
-// with optional UDP GSO) on or off. The default is on where the platform
-// supports it, unless the STABLELEADER_UDP_BATCH environment variable
-// says otherwise ("0", "off", "false", "no" disable); an explicit option
-// wins over the environment. On platforms without the fast path, and on
-// kernels that refuse the syscalls at runtime, the transport behaves
-// identically either way — one datagram per syscall.
-func WithBatchIO(on bool) UDPOption {
-	return func(c *udpConfig) { c.batchIO = on }
 }
 
 // WithSocketBuffers asks the kernel for n-byte receive and send buffers
@@ -211,7 +186,7 @@ func WithSocketBuffers(n int) UDPOption {
 // NewUDP opens a socket on listen (e.g. ":7400" or "10.0.0.3:7400") and
 // resolves the peer address book, e.g. {"b": "10.0.0.4:7400"}.
 func NewUDP(listen string, peers map[id.Process]string, opts ...UDPOption) (*UDP, error) {
-	cfg := udpConfig{receivers: 1, batchIO: batchEnvDefault()}
+	cfg := udpConfig{receivers: 1, batchIO: true}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -343,17 +318,14 @@ func sockFamily(conn *net.UDPConn) int {
 	return famIPv6
 }
 
-// batchActive reports whether the syscall-batched fast path is live:
-// built in, enabled, and not runtime-downgraded.
+// BatchIO reports whether the syscall-batched packet plane (recvmmsg/
+// sendmmsg with optional UDP GSO) is live: true where the build carries
+// it, false after a runtime downgrade.
 //
 //leadervet:hotpath
-func (u *UDP) batchActive() bool {
+func (u *UDP) BatchIO() bool {
 	return mmsgSupported && u.batch && !u.mmsgDown.Load()
 }
-
-// BatchIO reports whether the syscall-batched packet plane is currently
-// active (see WithBatchIO); false after a runtime downgrade.
-func (u *UDP) BatchIO() bool { return u.batchActive() }
 
 // IOStats implements IOStatser.
 func (u *UDP) IOStats() IOStats {
@@ -375,7 +347,7 @@ func (u *UDP) IOStats() IOStats {
 // the handoff.
 func (u *UDP) readLoop(conn *net.UDPConn) {
 	defer u.readers.Done()
-	if u.batchActive() {
+	if u.BatchIO() {
 		if u.readLoopBatched(conn) {
 			return
 		}
@@ -406,26 +378,25 @@ func (u *UDP) readLoopBatched(conn *net.UDPConn) bool {
 		}
 		u.io.recvSyscalls.Add(1)
 		u.io.recvDatagrams.Add(int64(n))
-		// Snapshot the handler under the lock and re-check closed, exactly
-		// like the classic loop: a burst that raced the shutdown is dropped
-		// rather than delivered.
-		u.mu.RLock()
-		h := u.handler
-		sh := u.srcHandler
-		closed := u.closed
-		u.mu.RUnlock()
-		if closed {
-			return true
-		}
-		for i := 0; i < n; i++ {
-			switch {
-			case sh != nil:
-				sh(r.payload(i), r.src(i))
-			case h != nil:
-				h(r.payload(i))
+		// Exactly like the classic loop: a burst that raced the shutdown is
+		// dropped rather than delivered (the next recv then reports the
+		// closed socket).
+		if h := u.liveHandler(); h != nil {
+			for i := 0; i < n; i++ {
+				h(r.payload(i), r.src(i))
 			}
 		}
 	}
+}
+
+// liveHandler snapshots the handler under the lock. Close clears it
+// before closing the sockets (and nothing installs one afterwards), so a
+// datagram that raced the shutdown finds nil here and is dropped rather
+// than delivered.
+func (u *UDP) liveHandler() func([]byte, netip.AddrPort) {
+	u.mu.RLock()
+	defer u.mu.RUnlock()
+	return u.handler
 }
 
 // readLoopClassic reads one datagram per syscall into a pooled buffer,
@@ -444,41 +415,16 @@ func (u *UDP) readLoopClassic(conn *net.UDPConn) {
 		}
 		u.io.recvSyscalls.Add(1)
 		u.io.recvDatagrams.Add(1)
-		// Snapshot the handler under the lock and re-check closed: Close
-		// clears the handler before closing the socket, so a datagram that
-		// raced the shutdown is dropped here rather than delivered.
-		u.mu.RLock()
-		h := u.handler
-		sh := u.srcHandler
-		closed := u.closed
-		u.mu.RUnlock()
-		if !closed {
-			switch {
-			case sh != nil:
-				sh((*bp)[:n], netip.AddrPortFrom(src.Addr().Unmap(), src.Port()))
-			case h != nil:
-				h((*bp)[:n])
-			}
+		if h := u.liveHandler(); h != nil {
+			h((*bp)[:n], netip.AddrPortFrom(src.Addr().Unmap(), src.Port()))
 		}
 		putPayloadBuf(bp)
 	}
 }
 
-// Send implements Transport. The payload is written synchronously and not
-// retained, per the Transport contract. Send always uses the first
-// socket; concurrent callers that want their own socket pass a hint
-// through SendHint.
+// Send implements Transport: one write on the first socket. The payload
+// is written synchronously and not retained, per the Transport contract.
 func (u *UDP) Send(to id.Process, payload []byte) error {
-	return u.SendHint(0, to, payload)
-}
-
-// SendHint implements HintedSender: Send on the socket the hint selects.
-// A stable hint per caller (the service passes its shard index) spreads
-// concurrent senders across the multi-receiver sockets instead of
-// funneling them through one socket's write lock, while keeping each
-// (hint, destination) stream on one socket — per-pair send order is
-// preserved.
-func (u *UDP) SendHint(h SenderHint, to id.Process, payload []byte) error {
 	u.mu.RLock()
 	addr, ok := u.book[to]
 	closed := u.closed
@@ -489,17 +435,21 @@ func (u *UDP) SendHint(h SenderHint, to id.Process, payload []byte) error {
 	if !ok {
 		return fmt.Errorf("transport: no address for process %q", to)
 	}
-	return u.writeOne(u.sendConn(h), payload, addr)
+	return u.writeOne(u.conns[0], payload, addr)
 }
 
-// sendConn maps a sender hint onto one of the sockets, stably.
+// sendConn maps a send hint onto one of the sockets, stably: a fixed hint
+// per caller (the service passes its shard index) spreads concurrent
+// senders across the multi-receiver sockets instead of funneling them
+// through one socket's write lock, while keeping each (hint, destination)
+// stream on one socket — per-pair send order is preserved.
 //
 //leadervet:hotpath
-func (u *UDP) sendConn(h SenderHint) *net.UDPConn {
-	if h <= 0 || len(u.conns) == 1 {
+func (u *UDP) sendConn(hint int) *net.UDPConn {
+	if hint <= 0 || len(u.conns) == 1 {
 		return u.conns[0]
 	}
-	return u.conns[int(h)%len(u.conns)]
+	return u.conns[hint%len(u.conns)]
 }
 
 // writeOne is the single-datagram write: one syscall, counted.
@@ -514,17 +464,17 @@ func (u *UDP) writeOne(conn *net.UDPConn, payload []byte, addr netip.AddrPort) e
 	return err
 }
 
-// SendBatch implements BatchSender on the default send socket.
+// SendBatch is SendVector on the first send socket.
 func (u *UDP) SendBatch(batch []Datagram) (int, error) {
-	return u.SendBatchHint(0, batch)
+	return u.SendVector(0, batch)
 }
 
-// SendBatchHint implements HintedSender: SendBatch on the socket the
-// hint selects. Where the platform fast path is active the batch goes
-// out in sendmmsg vectors of up to maxSendBatch datagrams (GSO-coalesced
-// where profitable); otherwise it degrades to exactly the loop of writes
-// Send would have performed, same per-entry semantics.
-func (u *UDP) SendBatchHint(h SenderHint, batch []Datagram) (int, error) {
+// SendVector implements VectorSender on the socket hint selects. Where
+// the platform fast path is active a batch of two or more goes out in
+// sendmmsg vectors of up to maxSendBatch datagrams (GSO-coalesced where
+// profitable); a vector of one, and every vector elsewhere, is exactly
+// the writes Send would have performed, same per-entry semantics.
+func (u *UDP) SendVector(hint int, batch []Datagram) (int, error) {
 	sent := 0
 	var firstErr error
 	for off := 0; off < len(batch); off += maxSendBatch {
@@ -532,7 +482,7 @@ func (u *UDP) SendBatchHint(h SenderHint, batch []Datagram) (int, error) {
 		if end > len(batch) {
 			end = len(batch)
 		}
-		n, err := u.sendChunk(h, batch[off:end])
+		n, err := u.sendChunk(hint, batch[off:end])
 		sent += n
 		if firstErr == nil {
 			firstErr = err
@@ -547,7 +497,7 @@ func (u *UDP) SendBatchHint(h SenderHint, batch []Datagram) (int, error) {
 // the raw path, or everything after a downgrade) through single writes.
 // Entries to one destination never change lanes, so per-destination
 // index order holds.
-func (u *UDP) sendChunk(h SenderHint, batch []Datagram) (int, error) {
+func (u *UDP) sendChunk(hint int, batch []Datagram) (int, error) {
 	s := getSendScratch()
 	defer putSendScratch(s)
 	u.mu.RLock()
@@ -572,36 +522,26 @@ func (u *UDP) sendChunk(h SenderHint, batch []Datagram) (int, error) {
 		}
 		s.direct[i] = u.needsDirect(s.addrs[i])
 	}
-	conn := u.sendConn(h)
-	if u.batchActive() {
+	conn := u.sendConn(hint)
+	sent, vectored := 0, false
+	if len(batch) > 1 && u.BatchIO() {
 		n, err, downgrade := u.sendMmsg(conn, s, batch)
-		if !downgrade {
+		if downgrade {
+			// The kernel (or a seccomp policy) refuses sendmmsg: demote the
+			// transport for good — nothing of this chunk has hit the wire
+			// yet, so all of it takes the single writes below.
+			u.mmsgDown.Store(true)
+		} else {
+			sent, vectored = n, true
 			if firstErr == nil {
 				firstErr = err
 			}
-			sent := n
-			for i := range batch {
-				if !s.ok[i] || !s.direct[i] {
-					continue
-				}
-				if werr := u.writeOne(conn, batch[i].Payload, s.addrs[i]); werr != nil {
-					if firstErr == nil {
-						firstErr = werr
-					}
-					continue
-				}
-				sent++
-			}
-			return sent, firstErr
 		}
-		// The kernel (or a seccomp policy) refuses sendmmsg: demote the
-		// transport for good and fall through — nothing of this chunk has
-		// hit the wire yet.
-		u.mmsgDown.Store(true)
 	}
-	sent := 0
+	// Single writes: what the vector could not route, or everything when
+	// there was no vector.
 	for i := range batch {
-		if !s.ok[i] {
+		if !s.ok[i] || (vectored && !s.direct[i]) {
 			continue
 		}
 		if err := u.writeOne(conn, batch[i].Payload, s.addrs[i]); err != nil {
@@ -632,14 +572,9 @@ func (u *UDP) needsDirect(addr netip.AddrPort) bool {
 	return u.family == famIPv4 && !a.Is4() && !a.Is4In6()
 }
 
-// Receive implements Transport. Installing a handler after Close is a
-// no-op: deliveries have already stopped for good.
+// Receive implements Transport: ReceiveFrom with the source dropped.
 func (u *UDP) Receive(h func(payload []byte)) {
-	u.mu.Lock()
-	if !u.closed {
-		u.handler = h
-	}
-	u.mu.Unlock()
+	u.ReceiveFrom(func(payload []byte, _ netip.AddrPort) { h(payload) })
 }
 
 // ReceiveFrom implements SourceAware: like Receive, with the datagram's
@@ -648,7 +583,7 @@ func (u *UDP) Receive(h func(payload []byte)) {
 func (u *UDP) ReceiveFrom(h func(payload []byte, src netip.AddrPort)) {
 	u.mu.Lock()
 	if !u.closed {
-		u.srcHandler = h
+		u.handler = h
 	}
 	u.mu.Unlock()
 }
@@ -697,7 +632,6 @@ func (u *UDP) Close() error {
 	}
 	u.closed = true
 	u.handler = nil
-	u.srcHandler = nil
 	u.mu.Unlock()
 	var err error
 	for _, c := range u.conns {
@@ -712,6 +646,5 @@ func (u *UDP) Close() error {
 
 var _ Transport = (*UDP)(nil)
 var _ SourceAware = (*UDP)(nil)
-var _ BatchSender = (*UDP)(nil)
-var _ HintedSender = (*UDP)(nil)
+var _ VectorSender = (*UDP)(nil)
 var _ IOStatser = (*UDP)(nil)

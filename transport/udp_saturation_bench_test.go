@@ -1,8 +1,8 @@
 package transport
 
 // BenchmarkUDPSaturation measures socket-level receive throughput on the
-// multi-receiver path — the figure BENCH_pr7.json records and the ≥3x
-// batching claim rests on. Four sender goroutines drive SendBatchHint
+// multi-receiver path — the figure BENCH.json records and the ≥3x
+// batching claim rests on. Four sender goroutines drive SendVector
 // vectors (distinct hints, so multi-receiver send affinity spreads them
 // over the send sockets) into a WithReceivers(4) receiver over real
 // loopback; ns/op is per delivered datagram. The mode=batched and
@@ -72,7 +72,7 @@ func benchmarkUDPSaturation(b *testing.B, opt UDPOption) {
 	var wg sync.WaitGroup
 	for g := 0; g < producers; g++ {
 		wg.Add(1)
-		go func(h SenderHint) {
+		go func(h int) {
 			defer wg.Done()
 			batch := make([]Datagram, chunk)
 			for i := range batch {
@@ -101,12 +101,12 @@ func benchmarkUDPSaturation(b *testing.B, opt UDPOption) {
 						stall = time.Now()
 					}
 				}
-				if _, err := send.SendBatchHint(h, batch[:n]); err != nil {
+				if _, err := send.SendVector(h, batch[:n]); err != nil {
 					b.Error(err)
 					return
 				}
 			}
-		}(SenderHint(g))
+		}(g)
 	}
 	wg.Wait()
 	// Drain the in-flight tail; exit once the count stays flat so a
@@ -133,13 +133,7 @@ func benchmarkUDPSaturation(b *testing.B, opt UDPOption) {
 }
 
 func BenchmarkUDPSaturation(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		opt  UDPOption
-	}{
-		{"batched", WithBatchIO(true)},
-		{"classic", WithBatchIO(false)},
-	} {
+	for _, mode := range batchModes {
 		b.Run(fmt.Sprintf("mode=%s", mode.name), func(b *testing.B) {
 			benchmarkUDPSaturation(b, mode.opt)
 		})
@@ -216,7 +210,7 @@ func benchmarkUDPRecvDrain(b *testing.B, opt UDPOption) {
 			if k-q < n {
 				n = k - q
 			}
-			if _, err := send.SendBatchHint(SenderHint(q), batch[:n]); err != nil {
+			if _, err := send.SendVector(int(q), batch[:n]); err != nil {
 				b.Fatal(err)
 			}
 			q += n
@@ -237,13 +231,7 @@ func benchmarkUDPRecvDrain(b *testing.B, opt UDPOption) {
 }
 
 func BenchmarkUDPRecvDrain(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		opt  UDPOption
-	}{
-		{"batched", WithBatchIO(true)},
-		{"classic", WithBatchIO(false)},
-	} {
+	for _, mode := range batchModes {
 		b.Run(fmt.Sprintf("mode=%s", mode.name), func(b *testing.B) {
 			benchmarkUDPRecvDrain(b, mode.opt)
 		})
