@@ -67,13 +67,16 @@ type Client struct {
 	node *clientcore.Node
 
 	commands chan func()
+	// inbound carries decoded datagrams from the transport's receiver
+	// goroutines to the loop, each in the pooled carrier that owns its
+	// storage — the service's receive path with a single ring.
+	inbound  chan *wire.Carrier
 	done     chan struct{}
 	closing  chan struct{}
 	finished chan struct{}
 
-	// inbox is the pooled wire decode harness for the receive path, the
-	// same one the service uses.
-	inbox *wire.Inbox
+	// strings is the interning table the receivers decode through.
+	strings wire.Interner
 
 	// mu guards groups (the canonical registry) and closed. The read hot
 	// path never takes it: viewsRO holds a copy-on-write snapshot of the
@@ -129,10 +132,12 @@ func New(tr transport.Transport, opts ...Option) (*Client, error) {
 		self:     cfg.self,
 		tr:       tr,
 		commands: make(chan func(), 256),
+		// As deep as commands: a burst of snapshots (one per watched group
+		// on a leader change) queues instead of stalling the receiver.
+		inbound:  make(chan *wire.Carrier, 256),
 		done:     make(chan struct{}),
 		closing:  make(chan struct{}),
 		finished: make(chan struct{}),
-		inbox:    wire.NewInbox(),
 		groups:   make(map[id.Group]*groupView),
 	}
 	rt := &clientRuntime{c: c, rng: rng}
@@ -158,11 +163,15 @@ func (c *Client) loop() {
 		select {
 		case fn := <-c.commands:
 			fn()
+		case car := <-c.inbound:
+			c.handleInbound(car)
 		case <-c.closing:
 			for {
 				select {
 				case fn := <-c.commands:
 					fn()
+				case car := <-c.inbound:
+					c.handleInbound(car)
 				default:
 					c.node.Stop(true) // graceful: unsubscribe everywhere
 					return
@@ -180,22 +189,35 @@ func (c *Client) enqueue(fn func()) {
 	}
 }
 
-// onDatagram decodes and dispatches one received datagram through the
-// pooled decoder, recycling the messages after dispatch (the state
-// machine copies everything it keeps). The unknown-kind count is
-// discarded: forward traffic is irrelevant to a client.
+// onDatagram decodes one received datagram into a pooled carrier and
+// hands it to the loop; once closing it is dropped, like any command. The
+// unknown-kind count is discarded: forward traffic is irrelevant to a
+// client.
+//
+//leadervet:hotpath
 func (c *Client) onDatagram(payload []byte) {
-	msgs, _, err := c.inbox.Decode(payload)
-	if err != nil || len(msgs) == 0 {
-		c.inbox.Recycle(msgs, false)
+	car := wire.GetCarrier()
+	if _, err := car.Decode(&c.strings, payload); err != nil || len(car.Msgs) == 0 {
+		car.Release()
 		return
 	}
-	c.enqueue(func() {
-		for _, m := range msgs {
-			c.node.HandleMessage(m)
-		}
-		c.inbox.Recycle(msgs, true)
-	})
+	select {
+	case c.inbound <- car:
+	case <-c.closing:
+		car.Release()
+	}
+}
+
+// handleInbound dispatches one datagram on the loop and gives its storage
+// back to the carrier (the state machine copies everything it keeps).
+//
+//leadervet:hotpath
+//leadervet:releases car
+func (c *Client) handleInbound(car *wire.Carrier) {
+	for _, m := range car.Msgs {
+		c.node.HandleMessage(m)
+	}
+	car.Release()
 }
 
 // viewFast resolves g's read plane without locks: one atomic load of the

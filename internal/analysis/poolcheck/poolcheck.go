@@ -1,8 +1,8 @@
 // Package poolcheck defines the leadervet analyzer enforcing the
 // pooled-value ownership contracts of the wire plane: values obtained
-// from the pooled codecs (Inbox.Decode/TakeSlice, GetLeaderSnapshot,
-// the send pool) must be released exactly once on every control-flow
-// path, and never used after release.
+// from the pooled codecs (GetCarrier, GetLeaderSnapshot, the transport's
+// buffer and scratch pools) must be released exactly once on every
+// control-flow path, and never used after release.
 //
 // The contracts are declared with two function directives:
 //
@@ -21,10 +21,9 @@
 // (the enclosing function must itself be //leadervet:acquires),
 // storing it into a struct/slice/map/channel, capturing it in a
 // closure, or passing the line through //leadervet:handoff (an
-// explicit, audited transfer — the steered inbound plane's refcounted
-// carriers). After any of these the analyzer stops tracking; the
-// receiving structure's discipline is covered by its own annotations
-// and tests.
+// explicit, audited transfer — a receive ring slot pinning its buffer).
+// After any of these the analyzer stops tracking; the receiving
+// structure's discipline is covered by its own annotations and tests.
 //
 // The analysis is per-function over the control-flow graph, tracking
 // one acquired variable at a time: definitely-live, definitely-

@@ -520,6 +520,7 @@ func (gs *groupState) noteHeard(p id.Process, inc int64) {
 	}
 }
 
+//leadervet:hotpath
 func (gs *groupState) handleJoin(m *wire.Join) {
 	gs.noteHeard(m.Sender, m.Incarnation)
 	changed := gs.table.Upsert(group.Member{
@@ -534,6 +535,7 @@ func (gs *groupState) handleJoin(m *wire.Join) {
 	}
 }
 
+//leadervet:hotpath
 func (gs *groupState) handleLeave(m *wire.Leave) {
 	changed := gs.table.Upsert(group.Member{
 		ID:          m.Sender,
@@ -545,22 +547,28 @@ func (gs *groupState) handleLeave(m *wire.Leave) {
 	}
 }
 
+//leadervet:hotpath
 func (gs *groupState) handleHello(m *wire.Hello) {
 	gs.noteHeard(m.Sender, m.Incarnation)
-	rows := make([]group.Member, len(m.Members))
-	for i, r := range m.Members {
-		rows[i] = group.Member{
+	// Row by row straight off the wire struct (the table keeps rows by
+	// value): a HELLO, one per peer per gossip round, allocates nothing.
+	changed := false
+	for _, r := range m.Members {
+		if gs.table.Upsert(group.Member{
 			ID:          r.ID,
 			Incarnation: r.Incarnation,
 			Candidate:   r.Candidate,
 			Left:        r.Left,
+		}) {
+			changed = true
 		}
 	}
-	if gs.table.Merge(rows) {
+	if changed {
 		gs.onMembershipChange()
 	}
 }
 
+//leadervet:hotpath
 func (gs *groupState) handleAlive(m *wire.Alive) {
 	member, ok := gs.table.Get(m.Sender)
 	if !ok || member.Left || member.Incarnation != m.Incarnation {
@@ -585,6 +593,7 @@ func (gs *groupState) handleAlive(m *wire.Alive) {
 	gs.afterEvent()
 }
 
+//leadervet:hotpath
 func (gs *groupState) handleAccuse(m *wire.Accuse) {
 	gs.noteHeard(m.Sender, m.Incarnation)
 	gs.n.obs.Inc(obs.CAccusationsIn)
@@ -592,6 +601,7 @@ func (gs *groupState) handleAccuse(m *wire.Accuse) {
 	gs.afterEvent()
 }
 
+//leadervet:hotpath
 func (gs *groupState) handleRate(m *wire.Rate) {
 	gs.noteHeard(m.Sender, m.Incarnation)
 	ds, ok := gs.dests[m.Sender]

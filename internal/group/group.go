@@ -11,7 +11,8 @@
 package group
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"stableleader/id"
 )
@@ -75,18 +76,6 @@ func (t *Table) Upsert(m Member) bool {
 	return true
 }
 
-// Merge merges a batch of rows (for example a HELLO payload) and reports
-// whether anything changed.
-func (t *Table) Merge(rows []Member) bool {
-	changed := false
-	for _, m := range rows {
-		if t.Upsert(m) {
-			changed = true
-		}
-	}
-	return changed
-}
-
 // Get returns the row for p.
 func (t *Table) Get(p id.Process) (Member, bool) {
 	m, ok := t.rows[p]
@@ -121,8 +110,9 @@ func (t *Table) Active() []Member {
 // Len returns the number of rows, tombstones included.
 func (t *Table) Len() int { return len(t.rows) }
 
-// sortMembers orders rows by process id; deterministic iteration order is
-// what keeps simulations reproducible.
+// sortMembers orders rows by process id (unique per table, so the order is
+// total); deterministic iteration order is what keeps simulations
+// reproducible.
 func sortMembers(ms []Member) {
-	sort.Slice(ms, func(i, j int) bool { return ms[i].ID < ms[j].ID })
+	slices.SortFunc(ms, func(a, b Member) int { return cmp.Compare(a.ID, b.ID) })
 }

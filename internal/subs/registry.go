@@ -34,7 +34,6 @@
 package subs
 
 import (
-	"container/heap"
 	"time"
 
 	"stableleader/id"
@@ -160,18 +159,48 @@ type leaseEntry struct {
 	l  *lease
 }
 
+// leaseHeap is a binary min-heap on at. It is container/heap's algorithm
+// written over the element type: the library's interface{} Push and Pop
+// box every entry, one allocation per lease renewal.
 type leaseHeap []leaseEntry
 
-func (h leaseHeap) Len() int            { return len(h) }
-func (h leaseHeap) Less(i, j int) bool  { return h[i].at.Before(h[j].at) }
-func (h leaseHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *leaseHeap) Push(x interface{}) { *h = append(*h, x.(leaseEntry)) }
-func (h *leaseHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = leaseEntry{}
-	*h = old[:n-1]
+// push adds e and sifts it up.
+func (h *leaseHeap) push(e leaseEntry) {
+	s := append(*h, e)
+	*h = s
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !s[j].at.Before(s[i].at) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+// pop removes and returns the earliest entry of a non-empty heap: the
+// root swaps with the last element, which then sifts down.
+func (h *leaseHeap) pop() leaseEntry {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s[r].at.Before(s[j].at) {
+			j = r
+		}
+		if !s[j].at.Before(s[i].at) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	e := s[n]
+	s[n] = leaseEntry{}
+	*h = s[:n]
 	return e
 }
 
@@ -515,7 +544,7 @@ func (r *Registry) dropLease(l *lease) {
 // scheduleExpiry enters l's deadline into the expiry plane, re-arming the
 // single timer only when the earliest deadline moved earlier.
 func (r *Registry) scheduleExpiry(l *lease) {
-	heap.Push(&r.expiry, leaseEntry{at: l.expires, l: l})
+	r.expiry.push(leaseEntry{at: l.expires, l: l})
 	if r.expiryAt.IsZero() || l.expires.Before(r.expiryAt) {
 		r.expiryAt = l.expires
 		r.expiryTimer.Reset(l.expires.Sub(r.cfg.Clock.Now()))
@@ -535,13 +564,13 @@ func (r *Registry) expire() {
 		if e.at.After(now) {
 			break
 		}
-		heap.Pop(&r.expiry)
+		r.expiry.pop()
 		if e.l.removed {
 			continue
 		}
 		if e.l.expires.After(now) {
 			// Renewed since this entry was pushed: chase the new deadline.
-			heap.Push(&r.expiry, leaseEntry{at: e.l.expires, l: e.l})
+			r.expiry.push(leaseEntry{at: e.l.expires, l: e.l})
 			continue
 		}
 		r.cfg.Obs.Inc(obs.CLeaseExpiries)

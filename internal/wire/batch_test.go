@@ -1,8 +1,11 @@
 package wire
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
+	"unsafe"
 )
 
 // sampleBatch coalesces one message of every protocol kind, the way the
@@ -215,6 +218,52 @@ func TestDecoderInternsStrings(t *testing.T) {
 	}
 }
 
+// TestInternerSharedAcrossReceivers: receiver goroutines decoding
+// through one host's Interner at once end up with ONE string per id —
+// the same bytes, whichever goroutine met the id first — so ids compare
+// by pointer wherever the messages went. A flood of made-up names fills
+// the table and then gets plain copies; the ids already in it stay.
+func TestInternerSharedAcrossReceivers(t *testing.T) {
+	var in Interner
+	const receivers, ids = 4, 64
+	got := make([][]string, receivers)
+	var wg sync.WaitGroup
+	for r := range got {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < ids; i++ {
+				// Each receiver meets the ids in its own order.
+				got[r] = append(got[r], in.intern([]byte(fmt.Sprintf("proc-%02d", (i+r*17)%ids))))
+			}
+		}(r)
+	}
+	wg.Wait()
+	canon := map[string]*byte{}
+	for r := range got {
+		for _, s := range got[r] {
+			if p, ok := canon[s]; !ok {
+				canon[s] = unsafe.StringData(s)
+			} else if p != unsafe.StringData(s) {
+				t.Fatalf("id %q interned to two different strings", s)
+			}
+		}
+	}
+	if len(canon) != ids {
+		t.Fatalf("interned %d distinct ids, want %d", len(canon), ids)
+	}
+	for i := 0; i < 4*maxIntern; i++ {
+		if s := fmt.Sprintf("flood-%d", i); in.intern([]byte(s)) != s {
+			t.Fatalf("flooded table returned a wrong string for %q", s)
+		}
+	}
+	for s, p := range canon {
+		if unsafe.StringData(in.intern([]byte(s))) != p {
+			t.Fatalf("id %q lost its interned string to the flood", s)
+		}
+	}
+}
+
 func TestBatchHeaderDelegation(t *testing.T) {
 	b := sampleBatch()
 	if b.From() != b.Msgs[0].From() || b.GroupID() != b.Msgs[0].GroupID() {
@@ -253,9 +302,11 @@ func TestMarshalNestedBatchPanics(t *testing.T) {
 }
 
 // TestWarmDecoderMatchesFresh pins the property the allocating codec fork
-// used to stand reference for: a Decoder whose freelists hold structs that
-// last carried other values decodes every kind exactly as a fresh Decoder
-// does — Release leaves nothing behind for the next decode to observe.
+// used to stand reference for: storage that last carried other values —
+// a Decoder's freelists, a recycled Carrier's — decodes every kind exactly
+// as fresh storage does. Release leaves nothing behind for the next
+// decode to observe: not the optional fields behind Alive.HasLocalLeader,
+// not the rows of the HELLO a struct carried before.
 func TestWarmDecoderMatchesFresh(t *testing.T) {
 	covered := map[Kind]bool{KindBatch: true}
 	for _, m := range sampleMessages() {
@@ -277,6 +328,8 @@ func TestWarmDecoderMatchesFresh(t *testing.T) {
 		&LeaderSnapshot{Group: "q", Sender: "p"}, &LeaseRenew{Group: "q", Sender: "p"},
 		&Standby{Group: "q", Sender: "p"}, &Handover{Group: "q", Sender: "p"},
 		&SuccessorHint{Group: "q", Sender: "p"},
+		// One row where loud's HELLO had three: the tail must be gone.
+		&Hello{Group: "q", Sender: "p", Members: []MemberInfo{{ID: "r", Incarnation: 1}}},
 	}
 	// Twice each in one envelope: the freelists are LIFO and loud carries
 	// two ALIVEs, snapshots and nominations, so the second pop reaches the
@@ -285,26 +338,92 @@ func TestWarmDecoderMatchesFresh(t *testing.T) {
 	for _, m := range quiet {
 		inputs = append(inputs, Marshal(m))
 	}
-	warm := NewDecoder()
-	for _, enc := range inputs {
-		dirty, err := warm.Unmarshal(loud)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm.Release(dirty)
-		want, err := NewDecoder().DecodeAppend(nil, enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := warm.DecodeAppend(nil, enc)
-		if err != nil || len(got) != len(want) {
-			t.Fatalf("warm decode: %d messages, err %v; fresh gave %d", len(got), err, len(want))
-		}
-		for i := range want {
-			if !reflect.DeepEqual(want[i], got[i]) {
-				t.Fatalf("warm decoder diverged from a fresh one:\n fresh %+v\n warm  %+v", want[i], got[i])
+
+	// Each storage under test: decode one datagram, and give everything
+	// the last decode handed out back.
+	dec := NewDecoder()
+	var decMsgs []Message
+	car, carStrings := new(Carrier), new(Interner)
+	for _, warm := range []struct {
+		name    string
+		decode  func(enc []byte) ([]Message, error)
+		release func()
+	}{
+		{"decoder", func(enc []byte) (_ []Message, err error) {
+			decMsgs, err = dec.DecodeAppend(decMsgs[:0], enc)
+			return decMsgs, err
+		}, func() {
+			for _, m := range decMsgs {
+				dec.Release(m)
 			}
-			warm.Release(got[i])
+		}},
+		{"carrier", func(enc []byte) ([]Message, error) {
+			_, err := car.Decode(carStrings, enc)
+			car.Scatter() // both slices in play
+			return car.Msgs, err
+		}, car.reset},
+	} {
+		t.Run(warm.name, func(t *testing.T) {
+			for _, enc := range inputs {
+				if _, err := warm.decode(loud); err != nil {
+					t.Fatal(err)
+				}
+				warm.release()
+				want, err := NewDecoder().DecodeAppend(nil, enc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := warm.decode(enc)
+				if err != nil || len(got) != len(want) {
+					t.Fatalf("warm decode: %d messages, err %v; fresh gave %d", len(got), err, len(want))
+				}
+				for i := range want {
+					if !reflect.DeepEqual(want[i], got[i]) {
+						t.Fatalf("warm storage diverged from fresh:\n fresh %+v\n warm  %+v", want[i], got[i])
+					}
+				}
+				warm.release()
+			}
+		})
+	}
+}
+
+// TestCarrierRetentionCapped: whatever one datagram made a carrier hold —
+// a hostile 64 KiB envelope of minimal messages, a HELLO that is all
+// member rows — what it keeps once recycled stays within maxFree per
+// kind and per slice, so a pooled carrier's footprint is bounded by the
+// cap and not by the worst datagram it ever saw.
+func TestCarrierRetentionCapped(t *testing.T) {
+	const limit = 64 * 1024
+	envelope := &Batch{}
+	for envelope.WireSize() < limit-64 {
+		envelope.Msgs = append(envelope.Msgs, &Leave{Group: "g", Sender: "s"})
+	}
+	rows := &Hello{Group: "g", Sender: "s"}
+	for rows.WireSize() < limit-64 {
+		rows.Members = append(rows.Members, MemberInfo{ID: "m", Incarnation: int64(len(rows.Members))})
+	}
+	if len(envelope.Msgs) < 4*maxFree || len(rows.Members) < 4*maxFree {
+		t.Fatalf("hostile inputs too small to exceed the cap: %d messages, %d rows", len(envelope.Msgs), len(rows.Members))
+	}
+
+	c, in := new(Carrier), new(Interner)
+	for _, enc := range [][]byte{Marshal(envelope), Marshal(rows)} {
+		if _, err := c.Decode(in, enc); err != nil {
+			t.Fatal(err)
+		}
+		c.Scatter()
+		c.reset()
+	}
+	if cap(c.Msgs) > maxFree || cap(c.scatter) > maxFree {
+		t.Errorf("recycled carrier keeps message slices of %d and %d, cap is %d", cap(c.Msgs), cap(c.scatter), maxFree)
+	}
+	if n := len(c.st.leaves.free); n != maxFree {
+		t.Errorf("recycled carrier keeps %d LEAVE structs of %d decoded, cap is %d", n, len(envelope.Msgs), maxFree)
+	}
+	for _, h := range c.st.hellos.free {
+		if cap(h.Members) > maxFree {
+			t.Errorf("a pooled HELLO keeps %d member rows, cap is %d", cap(h.Members), maxFree)
 		}
 	}
 }

@@ -53,15 +53,16 @@ func BenchmarkMarshal(b *testing.B) {
 func BenchmarkUnmarshal(b *testing.B) {
 	enc := Marshal(benchAlive())
 	dec := NewDecoder()
+	var msgs []Message
 	b.ReportAllocs()
 	b.SetBytes(int64(len(enc)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := dec.Unmarshal(enc)
-		if err != nil {
+		var err error
+		if msgs, err = dec.DecodeAppend(msgs[:0], enc); err != nil {
 			b.Fatal(err)
 		}
-		dec.Release(m)
+		dec.Release(msgs[0])
 	}
 }
 

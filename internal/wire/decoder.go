@@ -1,17 +1,28 @@
 package wire
 
-// Decoder is the receive side of the codec: it interns the strings it
-// produces (process and group ids recur on every datagram) and recycles
-// message structs handed back through Release. After warm-up the decode
-// path performs no heap allocation.
+import (
+	"hash/maphash"
+	"sync/atomic"
+)
+
+// Decoder is the receive side of the codec for callers that own their
+// decode loop (tools, load generators, tests): the same decode the hosts
+// run through a Carrier, over a store and an interning table private to
+// this Decoder. After warm-up the decode path performs no heap allocation.
 //
 // The contract mirrors single-threaded use: a Decoder is NOT safe for
 // concurrent use, and a message passed to Release must no longer be
 // referenced by the caller — strings read out of it remain valid (they are
 // interned, never recycled), struct and slice memory does not.
 type Decoder struct {
-	strings map[string]string
+	st store
+	in Interner
+}
 
+// store is the struct storage decoded messages are drawn from and released
+// into: one freelist per kind. Whoever owns a store (a Carrier, a Decoder)
+// is the only one to touch it, so it needs no lock.
+type store struct {
 	hellos     freelist[Hello]
 	joins      freelist[Join]
 	leaves     freelist[Leave]
@@ -25,17 +36,12 @@ type Decoder struct {
 	standbys   freelist[Standby]
 	handovers  freelist[Handover]
 	hints      freelist[SuccessorHint]
-	batches    freelist[Batch]
-
-	// unknown accumulates inner batch messages skipped for carrying an
-	// unrecognized kind (see TakeUnknown).
-	unknown int64
 }
 
 // freelist recycles the structs of one message kind.
 type freelist[T any] struct{ free []*T }
 
-// get returns a zeroed struct (slice capacity aside, see Release),
+// get returns a zeroed struct (slice capacity aside, see store.release),
 // recycled when one is free.
 func (f *freelist[T]) get() *T {
 	if n := len(f.free); n > 0 {
@@ -55,119 +61,154 @@ func (f *freelist[T]) put(t *T) {
 	}
 }
 
-// maxIntern bounds the interning table. Ids are few in practice; a flood of
+// maxIntern sizes the interning table. Ids are few in practice; a flood of
 // distinct names (hostile traffic) degrades to plain allocation instead of
 // growing the table without bound.
 const maxIntern = 4096
 
-// maxFree bounds each freelist; Release beyond it lets the GC take over.
+// maxFree is the retention cap of pooled decode storage: structs per kind
+// in a freelist, and elements of a slice kept for reuse (HELLO member
+// rows, a carrier's message slices). Legitimate datagrams stay far below
+// it; what a hostile one pushes beyond it goes to the GC.
 const maxFree = 256
 
-// NewDecoder returns an empty Decoder.
-func NewDecoder() *Decoder {
-	return &Decoder{strings: make(map[string]string)}
+// Interner is the table of strings a receiving host has decoded: process
+// and group ids recur on every datagram, so each is allocated once. A host
+// keeps ONE table for all of its receiver goroutines and carriers, so equal
+// ids share a pointer wherever they ended up (comparison stops at the
+// pointer check). It is a fixed open-addressing hash table whose slots are
+// set once by compare-and-swap and never change: lookups and inserts take
+// no lock, and an id finds the same slot from every goroutine. The zero
+// value is ready to use.
+type Interner struct {
+	slots [maxIntern]atomic.Pointer[string]
 }
 
-// Unmarshal decodes one datagram — a single message or a Batch envelope
-// (returned as a *Batch) — drawing structs from the freelists and strings
-// from the interning table.
-func (d *Decoder) Unmarshal(b []byte) (Message, error) {
-	r := reader{b: b, d: d}
-	m, err := unmarshalDatagram(&r)
-	if err == nil {
-		// Counted only for datagrams that decoded: a corrupt datagram is
-		// garbage, not forward traffic, even if the bytes before the
-		// corruption happened to look like a skippable future kind.
-		d.unknown += int64(r.unknown)
+var internSeed = maphash.MakeSeed()
+
+// intern returns a string equal to raw, reusing a previous allocation when
+// the same bytes were seen before (the comparison with a string conversion
+// compiles to no allocation). A name that finds its whole probe window
+// taken by others is allocated plainly.
+func (in *Interner) intern(raw []byte) string {
+	h := maphash.Bytes(internSeed, raw)
+	for i := uint64(0); i < 8; i++ {
+		slot := &in.slots[(h+i)%maxIntern]
+		p := slot.Load()
+		if p == nil {
+			s := string(raw)
+			if slot.CompareAndSwap(nil, &s) {
+				return s
+			}
+			p = slot.Load() // a racing receiver filled it, maybe with this id
+		}
+		if *p == string(raw) {
+			return *p
+		}
 	}
-	return m, err
+	return string(raw)
 }
 
-// TakeUnknown returns and resets the count of batch-inner messages skipped
-// since the last call because their kind is unknown to this build. Hosts
-// drain it into their packet counters after each decode.
-func (d *Decoder) TakeUnknown() int64 {
-	n := d.unknown
-	d.unknown = 0
-	return n
+// NewDecoder returns an empty Decoder.
+func NewDecoder() *Decoder { return &Decoder{} }
+
+// Unmarshal decodes one datagram into one Message, a Batch envelope as a
+// *Batch — the form tools and tests read; it allocates the result.
+func (d *Decoder) Unmarshal(b []byte) (Message, error) {
+	msgs, err := d.DecodeAppend(nil, b)
+	switch {
+	case err != nil:
+		return nil, err
+	case isBatch(b):
+		return &Batch{Msgs: msgs}, nil
+	}
+	return msgs[0], nil
 }
 
 // DecodeAppend decodes one datagram and appends its messages — the inner
 // messages of a batch, or the single bare message — to dst, which may be a
 // recycled slice. On error dst is returned unchanged.
 func (d *Decoder) DecodeAppend(dst []Message, b []byte) ([]Message, error) {
-	m, err := d.Unmarshal(b)
-	if err != nil {
-		return dst, err
-	}
-	if t, ok := m.(*Batch); ok {
-		dst = append(dst, t.Msgs...)
-		d.putBatch(t)
-		return dst, nil
-	}
-	return append(dst, m), nil
-}
-
-// intern returns a string equal to raw, reusing a previous allocation when
-// the same bytes were seen before. The map index with a string conversion
-// compiles to a no-allocation lookup.
-func (d *Decoder) intern(raw []byte) string {
-	if s, ok := d.strings[string(raw)]; ok {
-		return s
-	}
-	s := string(raw)
-	if len(d.strings) < maxIntern {
-		d.strings[s] = s
-	}
-	return s
+	dst, _, err := decodeAppend(&d.st, &d.in, dst, b)
+	return dst, err
 }
 
 // Release recycles a message obtained from this Decoder. Releasing a
 // message that anything still references corrupts later decodes; the
-// protocol handlers copy what they keep, so hosts release right after
+// protocol handlers copy what they keep, so callers release right after
 // dispatch. Releasing a *Batch releases its inner messages too.
-func (d *Decoder) Release(m Message) {
+func (d *Decoder) Release(m Message) { d.st.release(m) }
+
+// decodeAppend is the one decode: a datagram's messages appended to dst in
+// wire order, structs from st, strings from in. unknown counts the
+// batch-inner messages skipped for carrying a kind this build does not
+// know — only for datagrams that decoded: a corrupt datagram is garbage,
+// not forward traffic, even if the bytes before the corruption happened to
+// look like a skippable future kind.
+func decodeAppend(st *store, in *Interner, dst []Message, b []byte) (_ []Message, unknown int64, err error) {
+	r := reader{b: b, st: st, in: in}
+	n := len(dst)
+	if isBatch(b) {
+		dst, err = unmarshalBatchEnvelope(&r, dst)
+	} else if m, merr := unmarshalOne(&r); merr == nil {
+		dst = append(dst, m)
+	} else {
+		err = merr
+	}
+	if err != nil {
+		for _, m := range dst[n:] {
+			st.release(m)
+		}
+		return dst[:n], 0, err
+	}
+	return dst, int64(r.unknown), nil
+}
+
+// release takes a message's struct back into the store it came from,
+// zeroed — a later decode through it matches a fresh one bit for bit.
+func (st *store) release(m Message) {
 	switch t := m.(type) {
 	case *Hello:
-		members := t.Members[:0] // the row capacity is recycled too
-		d.hellos.put(t)
+		members := kept(t.Members) // the row capacity is recycled too
+		st.hellos.put(t)
 		t.Members = members
 	case *Join:
-		d.joins.put(t)
+		st.joins.put(t)
 	case *Leave:
-		d.leaves.put(t)
+		st.leaves.put(t)
 	case *Alive:
-		d.alives.put(t)
+		st.alives.put(t)
 	case *Accuse:
-		d.accuses.put(t)
+		st.accuses.put(t)
 	case *Rate:
-		d.rates.put(t)
+		st.rates.put(t)
 	case *Subscribe:
-		d.subscribes.put(t)
+		st.subscribes.put(t)
 	case *Unsubscribe:
-		d.unsubs.put(t)
+		st.unsubs.put(t)
 	case *LeaderSnapshot:
-		d.snapshots.put(t)
+		st.snapshots.put(t)
 	case *LeaseRenew:
-		d.renews.put(t)
+		st.renews.put(t)
 	case *Standby:
-		d.standbys.put(t)
+		st.standbys.put(t)
 	case *Handover:
-		d.handovers.put(t)
+		st.handovers.put(t)
 	case *SuccessorHint:
-		d.hints.put(t)
-	case *Batch:
+		st.hints.put(t)
+	case *Batch: // what Decoder.Unmarshal returned; the envelope itself is garbage
 		for _, inner := range t.Msgs {
-			d.Release(inner)
+			st.release(inner)
 		}
-		d.putBatch(t)
 	}
 }
 
-// putBatch recycles an envelope whose inner messages have moved on,
-// keeping its slice capacity.
-func (d *Decoder) putBatch(t *Batch) {
-	msgs := t.Msgs[:0]
-	d.batches.put(t)
-	t.Msgs = msgs
+// kept empties a slice for reuse, dropping what it referenced; one that
+// grew past the retention cap is given up instead.
+func kept[T any](s []T) []T {
+	if cap(s) > maxFree {
+		return nil
+	}
+	clear(s)
+	return s[:0]
 }

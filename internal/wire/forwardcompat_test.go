@@ -51,23 +51,17 @@ func TestBatchSkipsUnknownKinds(t *testing.T) {
 		t.Fatalf("decoded %+v, want the two known messages %+v", msgs, want)
 	}
 
-	// The pooled decoder agrees and surfaces the skip count.
-	dec := NewDecoder()
-	got, err := dec.DecodeAppend(nil, w.b)
+	// The hosts' decode agrees and surfaces the skip count.
+	c := new(Carrier)
+	unknown, err := c.Decode(new(Interner), w.b)
 	if err != nil {
-		t.Fatalf("pooled decode failed: %v", err)
+		t.Fatalf("carrier decode failed: %v", err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("pooled decoder yielded %+v, want %+v", got, want)
+	if !reflect.DeepEqual(c.Msgs, want) {
+		t.Fatalf("carrier yielded %+v, want %+v", c.Msgs, want)
 	}
-	if n := dec.TakeUnknown(); n != 2 {
-		t.Fatalf("TakeUnknown() = %d, want 2", n)
-	}
-	if n := dec.TakeUnknown(); n != 0 {
-		t.Fatalf("TakeUnknown() did not reset: second call = %d, want 0", n)
-	}
-	for _, m := range got {
-		dec.Release(m)
+	if unknown != 2 {
+		t.Fatalf("Decode counted %d unknown kinds, want 2", unknown)
 	}
 }
 
@@ -88,12 +82,9 @@ func TestBatchAllUnknownKinds(t *testing.T) {
 	if len(msgs) != 0 {
 		t.Fatalf("decoded %d messages from an all-unknown batch, want 0", len(msgs))
 	}
-	dec := NewDecoder()
-	if _, err := dec.DecodeAppend(nil, w.b); err != nil {
-		t.Fatalf("pooled decode of all-unknown batch failed: %v", err)
-	}
-	if n := dec.TakeUnknown(); n != 2 {
-		t.Fatalf("TakeUnknown() = %d, want 2", n)
+	c := new(Carrier)
+	if n, err := c.Decode(new(Interner), w.b); err != nil || n != 2 || len(c.Msgs) != 0 {
+		t.Fatalf("carrier decode of all-unknown batch: %d messages, %d unknown (want 0 and 2), err %v", len(c.Msgs), n, err)
 	}
 }
 
@@ -179,20 +170,17 @@ func TestPrePR8PeersSkipStandbyKinds(t *testing.T) {
 		t.Fatalf("patched %d inner kind bytes, want 3", swapped)
 	}
 
-	dec := NewDecoder()
-	got, err := dec.DecodeAppend(nil, patched)
+	c := new(Carrier)
+	unknown, err := c.Decode(new(Interner), patched)
 	if err != nil {
 		t.Fatalf("pre-PR-peer decode: %v", err)
 	}
 	want := []Message{alive, snap}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("pre-PR peer decoded %+v, want just the heartbeat and snapshot %+v", got, want)
+	if !reflect.DeepEqual(c.Msgs, want) {
+		t.Fatalf("pre-PR peer decoded %+v, want just the heartbeat and snapshot %+v", c.Msgs, want)
 	}
-	if u := dec.TakeUnknown(); u != 3 {
-		t.Fatalf("TakeUnknown() = %d, want 3 (the skipped standby-plane messages)", u)
-	}
-	for _, m := range got {
-		dec.Release(m)
+	if unknown != 3 {
+		t.Fatalf("Decode counted %d unknown kinds, want 3 (the skipped standby-plane messages)", unknown)
 	}
 }
 

@@ -4,7 +4,7 @@ import "sync"
 
 // Send-side message pooling.
 //
-// The receive side recycles message structs through the Decoder's
+// The receive side recycles message structs through each carrier's
 // freelists; the send side needs the mirror for exactly one kind:
 // LeaderSnapshot, the client-plane fan-out payload. A leader-change edge
 // under 10k subscribers builds 10k snapshot structs in one burst, and

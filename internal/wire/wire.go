@@ -668,13 +668,14 @@ func (w *writer) boolean(v bool) {
 }
 
 // reader consumes big-endian fields from a byte slice, latching the first
-// error so call sites stay linear. Strings intern through d and message
-// structs come from its freelists.
+// error so call sites stay linear. Strings intern through in and message
+// structs come from st's freelists.
 type reader struct {
 	b   []byte
 	off int
 	err error
-	d   *Decoder
+	st  *store
+	in  *Interner
 	// unknown counts inner batch messages skipped for carrying a kind this
 	// build does not know — forward traffic, not corruption.
 	unknown int
@@ -740,7 +741,7 @@ func (r *reader) str() string {
 	}
 	raw := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
-	return r.d.intern(raw)
+	return r.in.intern(raw)
 }
 
 func (r *reader) boolean() bool { return r.u8() != 0 }
@@ -866,51 +867,45 @@ func Unmarshal(b []byte) (Message, error) {
 	return NewDecoder().Unmarshal(b)
 }
 
-// unmarshalDatagram dispatches on the first byte: batch envelope or single
-// message.
-func unmarshalDatagram(r *reader) (Message, error) {
-	if r.off < len(r.b) && Kind(r.b[r.off]) == KindBatch {
-		return unmarshalBatchEnvelope(r)
-	}
-	return unmarshalOne(r)
-}
+// isBatch reports whether datagram b is a batch envelope.
+func isBatch(b []byte) bool { return len(b) > 0 && Kind(b[0]) == KindBatch }
 
-// unmarshalBatchEnvelope decodes a Batch. Inner messages must not nest
+// unmarshalBatchEnvelope decodes a Batch, appending its inner messages to
+// dst (on error, those decoded so far). Inner messages must not nest
 // batches and must consume exactly their declared length.
-func unmarshalBatchEnvelope(r *reader) (Message, error) {
+func unmarshalBatchEnvelope(r *reader, dst []Message) ([]Message, error) {
 	r.u8() // kind, already known to be KindBatch
 	version := r.u8()
 	if r.err != nil {
-		return nil, r.err
+		return dst, r.err
 	}
 	if version == 0 || version > BatchVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBadBatch, version)
+		return dst, fmt.Errorf("%w: version %d", ErrBadBatch, version)
 	}
 	count := r.uvarint()
 	if r.err != nil {
-		return nil, r.err
+		return dst, r.err
 	}
 	if count > uint64(len(r.b)-r.off) {
 		// Every inner message costs at least one length byte; a count
 		// larger than the remaining payload is certainly corrupt. Reject
 		// before allocating.
-		return nil, fmt.Errorf("%w: count %d exceeds payload", ErrBadBatch, count)
+		return dst, fmt.Errorf("%w: count %d exceeds payload", ErrBadBatch, count)
 	}
-	t := r.d.batches.get()
 	for i := uint64(0); i < count; i++ {
 		l := r.uvarint()
 		if r.err != nil {
-			return nil, r.err
+			return dst, r.err
 		}
 		if l == 0 {
-			return nil, fmt.Errorf("%w: empty inner message", ErrBadBatch)
+			return dst, fmt.Errorf("%w: empty inner message", ErrBadBatch)
 		}
 		if l > uint64(len(r.b)-r.off) {
-			return nil, ErrTruncated
+			return dst, ErrTruncated
 		}
 		end := r.off + int(l)
 		if Kind(r.b[r.off]) == KindBatch {
-			return nil, fmt.Errorf("%w: nested batch", ErrBadBatch)
+			return dst, fmt.Errorf("%w: nested batch", ErrBadBatch)
 		}
 		if !knownKind(Kind(r.b[r.off])) {
 			// A kind from a newer protocol version: the length prefix
@@ -921,23 +916,18 @@ func unmarshalBatchEnvelope(r *reader) (Message, error) {
 			r.unknown++
 			continue
 		}
-		inner := reader{b: r.b[:end], off: r.off, d: r.d}
+		inner := reader{b: r.b[:end], off: r.off, st: r.st, in: r.in}
 		m, err := unmarshalOne(&inner)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
+		dst = append(dst, m)
 		if inner.off != end {
-			return nil, fmt.Errorf("%w: inner message shorter than its length prefix", ErrBadBatch)
+			return dst, fmt.Errorf("%w: inner message shorter than its length prefix", ErrBadBatch)
 		}
 		r.off = end
-		t.Msgs = append(t.Msgs, m)
 	}
-	if len(t.Msgs) == 0 {
-		// Canonical empty form, identical from a fresh and a recycled
-		// struct (the latter would otherwise carry a non-nil slice).
-		t.Msgs = nil
-	}
-	return t, nil
+	return dst, nil
 }
 
 // unmarshalOne decodes a single non-batch message.
@@ -948,7 +938,7 @@ func unmarshalOne(r *reader) (Message, error) {
 	var m Message
 	switch kind {
 	case KindHello:
-		t := r.d.hellos.get()
+		t := r.st.hellos.get()
 		t.Group, t.Sender, t.Incarnation = group, sender, r.i64()
 		n := r.uvarint()
 		if r.err == nil && n > uint64(len(r.b)) {
@@ -971,15 +961,15 @@ func unmarshalOne(r *reader) (Message, error) {
 		}
 		m = t
 	case KindJoin:
-		t := r.d.joins.get()
+		t := r.st.joins.get()
 		t.Group, t.Sender, t.Incarnation, t.Candidate = group, sender, r.i64(), r.boolean()
 		m = t
 	case KindLeave:
-		t := r.d.leaves.get()
+		t := r.st.leaves.get()
 		t.Group, t.Sender, t.Incarnation = group, sender, r.i64()
 		m = t
 	case KindAlive:
-		t := r.d.alives.get()
+		t := r.st.alives.get()
 		t.Group, t.Sender, t.Incarnation = group, sender, r.i64()
 		t.Seq = r.uvarint()
 		t.SendTime = r.i64()
@@ -993,7 +983,7 @@ func unmarshalOne(r *reader) (Message, error) {
 		}
 		m = t
 	case KindAccuse:
-		t := r.d.accuses.get()
+		t := r.st.accuses.get()
 		t.Group, t.Sender = group, sender
 		t.Incarnation = r.i64()
 		t.TargetIncarnation = r.i64()
@@ -1001,19 +991,19 @@ func unmarshalOne(r *reader) (Message, error) {
 		t.At = r.i64()
 		m = t
 	case KindRate:
-		t := r.d.rates.get()
+		t := r.st.rates.get()
 		t.Group, t.Sender, t.Incarnation, t.Interval = group, sender, r.i64(), r.i64()
 		m = t
 	case KindSubscribe:
-		t := r.d.subscribes.get()
+		t := r.st.subscribes.get()
 		t.Group, t.Sender, t.Incarnation, t.TTL = group, sender, r.i64(), r.i64()
 		m = t
 	case KindUnsubscribe:
-		t := r.d.unsubs.get()
+		t := r.st.unsubs.get()
 		t.Group, t.Sender, t.Incarnation = group, sender, r.i64()
 		m = t
 	case KindLeaderSnapshot:
-		t := r.d.snapshots.get()
+		t := r.st.snapshots.get()
 		t.Group, t.Sender, t.Incarnation = group, sender, r.i64()
 		t.Seq = r.uvarint()
 		flags := r.u8()
@@ -1025,18 +1015,18 @@ func unmarshalOne(r *reader) (Message, error) {
 		t.Lease = r.i64()
 		m = t
 	case KindLeaseRenew:
-		t := r.d.renews.get()
+		t := r.st.renews.get()
 		t.Group, t.Sender, t.Incarnation, t.TTL = group, sender, r.i64(), r.i64()
 		m = t
 	case KindStandby:
-		t := r.d.standbys.get()
+		t := r.st.standbys.get()
 		t.Group, t.Sender, t.Incarnation = group, sender, r.i64()
 		t.Seq = r.uvarint()
 		t.Standby = id.Process(r.str())
 		t.StandbyInc = r.i64()
 		m = t
 	case KindHandover:
-		t := r.d.handovers.get()
+		t := r.st.handovers.get()
 		t.Group, t.Sender, t.Incarnation = group, sender, r.i64()
 		t.Successor = id.Process(r.str())
 		t.SuccessorInc = r.i64()
@@ -1044,7 +1034,7 @@ func unmarshalOne(r *reader) (Message, error) {
 		t.At = r.i64()
 		m = t
 	case KindSuccessorHint:
-		t := r.d.hints.get()
+		t := r.st.hints.get()
 		t.Group, t.Sender, t.Incarnation = group, sender, r.i64()
 		t.Seq = r.uvarint()
 		t.Successor = id.Process(r.str())

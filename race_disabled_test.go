@@ -1,6 +1,6 @@
 //go:build !race
 
-package stableleader_test
+package stableleader
 
-// raceEnabled: see race_enabled_test.go.
-const raceEnabled = false
+// RaceEnabled: see race_enabled_test.go.
+const RaceEnabled = false

@@ -1,8 +1,11 @@
 //go:build race
 
-package stableleader_test
+package stableleader
 
-// raceEnabled reports that this binary runs under the race detector —
-// the mode the race hammers exist for. Same convention as
+// RaceEnabled reports that this binary runs under the race detector —
+// the mode the race hammers exist for, and one in which sync.Pool drops
+// a share of its Puts on purpose, so allocation assertions over pooled
+// paths do not hold. Declared in the internal test package so internal
+// and external tests share it. Same convention as
 // internal/subs/race_enabled_test.go.
-const raceEnabled = true
+const RaceEnabled = true

@@ -23,7 +23,7 @@ import (
 )
 
 func TestReadPlaneRaceHammer(t *testing.T) {
-	if !raceEnabled {
+	if !stableleader.RaceEnabled {
 		t.Log("running without -race: this hammer only detects races under the race detector")
 	}
 	hub := transport.NewInproc(nil)
@@ -148,7 +148,7 @@ func TestReadPlaneRaceHammer(t *testing.T) {
 // (handover + tombstone fan-out) and crashes. Assertions are light; the
 // job is racing the handover writers against every read surface at once.
 func TestHandoverRaceHammer(t *testing.T) {
-	if !raceEnabled {
+	if !stableleader.RaceEnabled {
 		t.Log("running without -race: this hammer only detects races under the race detector")
 	}
 	hub := transport.NewInproc(nil)
@@ -298,7 +298,7 @@ func TestHandoverRaceHammer(t *testing.T) {
 // counters, per-shard registries, aggregate shutdown) in front of the
 // race detector at once.
 func TestCrossShardChurnRaceHammer(t *testing.T) {
-	if !raceEnabled {
+	if !stableleader.RaceEnabled {
 		t.Log("running without -race: this hammer only detects races under the race detector")
 	}
 	hub := transport.NewInproc(nil)

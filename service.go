@@ -8,7 +8,6 @@ import (
 	"net/netip"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stableleader/id"
@@ -78,12 +77,10 @@ type Service struct {
 	// plane learns client addresses through (see onDatagram).
 	learner transport.SourceAware
 
-	// inboxes pools wire decode harnesses for the receive hot path: the
-	// transport may deliver from several receiver goroutines (the UDP
-	// multi-receiver mode), and a pool of inboxes lets them decode in
-	// parallel instead of serialising on one decoder mutex. Each decoded
-	// datagram remembers its inbox and recycles into it after dispatch.
-	inboxes sync.Pool
+	// strings is the one interning table every receiver goroutine decodes
+	// through (see wire.Interner); all other decode storage travels with
+	// each datagram's wire.Carrier.
+	strings wire.Interner
 
 	mu       sync.Mutex
 	groups   map[id.Group]*Group
@@ -115,37 +112,13 @@ type serviceShard struct {
 }
 
 // inboundPart is one shard's contiguous share of a decoded datagram:
-// messages fl.msgs[lo:hi] all belong to groups this shard owns. datagram
-// marks the single part that carries the datagram-level counters.
+// messages c.Msgs[lo:hi] all belong to groups this shard owns, and the
+// part holds one claim on the carrier, released once they are dispatched.
+// datagram marks the single part that carries the datagram-level counters.
 type inboundPart struct {
-	fl       *inFlight
+	c        *wire.Carrier
 	lo, hi   int
 	datagram bool
-}
-
-// inFlight is the refcounted carrier of one decoded datagram while its
-// parts are in flight to the shards: the last shard to finish dispatching
-// recycles the message slice into the inbox that decoded it. Carriers are
-// pooled; a steady receive path allocates nothing per datagram.
-type inFlight struct {
-	inbox   *wire.Inbox
-	msgs    []wire.Message
-	bytes   int  // datagram wire size (payload + UDP/IP overhead)
-	batch   bool // the datagram carried more than one message
-	pending atomic.Int32
-}
-
-var inFlightPool = sync.Pool{New: func() any { return new(inFlight) }}
-
-// release drops one shard's claim; the last claim recycles the messages.
-func (fl *inFlight) release() {
-	if fl.pending.Add(-1) != 0 {
-		return
-	}
-	fl.inbox.Recycle(fl.msgs, true)
-	fl.inbox = nil
-	fl.msgs = nil
-	inFlightPool.Put(fl)
 }
 
 // New creates and starts a Service for process self on the given
@@ -183,7 +156,6 @@ func New(self id.Process, tr transport.Transport, opts ...Option) (*Service, err
 		finished: make(chan struct{}),
 		groups:   make(map[id.Group]*Group),
 	}
-	s.inboxes.New = func() any { return wire.NewInbox() }
 	if vs, ok := tr.(transport.VectorSender); ok {
 		s.vec = vs
 	} else {
@@ -344,8 +316,8 @@ func (sh *serviceShard) loop() {
 //
 //leadervet:hotpath
 func (sh *serviceShard) handleInbound(p inboundPart) {
-	fl := p.fl
-	sh.svc.counters.CountInPart(p.hi-p.lo, fl.bytes, p.datagram, fl.batch)
+	c := p.c
+	sh.svc.counters.CountInPart(p.hi-p.lo, c.Bytes, p.datagram, len(c.Msgs) > 1)
 	sh.obs.Inc(obs.CInboundParts)
 	if !p.datagram {
 		// A continuation part of a datagram split across shards by the
@@ -353,10 +325,10 @@ func (sh *serviceShard) handleInbound(p inboundPart) {
 		// induces, visible only here.
 		sh.obs.Inc(obs.CInboundSplitParts)
 	}
-	for _, m := range fl.msgs[p.lo:p.hi] {
+	for _, m := range c.Msgs[p.lo:p.hi] {
 		sh.node.HandleMessage(m)
 	}
-	fl.release()
+	c.Release()
 }
 
 // enqueue schedules fn on the shard's event loop; it drops work once the
@@ -377,7 +349,7 @@ func (sh *serviceShard) enqueueInbound(p inboundPart) {
 	select {
 	case sh.inbound <- p:
 	case <-sh.svc.closing:
-		p.fl.release()
+		p.c.Release()
 	}
 }
 
@@ -415,12 +387,12 @@ func (sh *serviceShard) call(ctx context.Context, fn func()) error {
 
 // onDatagram decodes and steers one received datagram — a bare message
 // or a batch envelope. Decoding happens here (the transport reuses the
-// payload buffer after we return) through a pooled Decoder; the decoded
+// payload buffer after we return) into a pooled wire.Carrier; the decoded
 // messages are partitioned by owning shard, handed to the shard loops
-// over the bounded inbound rings, and recycled once every part has been
-// dispatched. The protocol handlers copy everything they keep, so the
-// recycle-after-handle contract holds by construction. Safe for
-// concurrent delivery (multi-receiver transports).
+// over the bounded inbound rings, and taken back by the carrier once
+// every part has been dispatched. The protocol handlers copy everything
+// they keep, so the recycle-after-handle contract holds by construction.
+// Safe for concurrent delivery (multi-receiver transports).
 //
 // src is the datagram's network source where the transport exposes it
 // (SourceAware) and the client plane is on, invalid otherwise: only
@@ -430,22 +402,21 @@ func (sh *serviceShard) call(ctx context.Context, fn func()) error {
 //
 //leadervet:hotpath
 func (s *Service) onDatagram(payload []byte, src netip.AddrPort) {
-	ib := s.inboxes.Get().(*wire.Inbox)
-	msgs, unknown, err := ib.Decode(payload)
+	c := wire.GetCarrier()
+	unknown, err := c.Decode(&s.strings, payload)
 	if errors.Is(err, wire.ErrUnknownKind) {
 		// A bare datagram of a future kind: dropped whole, but counted as
 		// forward traffic, not as silent garbage.
 		unknown++
 	}
 	s.counters.CountUnknown(unknown)
-	if err != nil || len(msgs) == 0 {
+	if err != nil || len(c.Msgs) == 0 {
 		// Garbage on the wire is dropped, as a UDP service must.
-		ib.Recycle(msgs, false)
-		s.inboxes.Put(ib)
+		c.Release()
 		return
 	}
 	if s.learner != nil && src.IsValid() {
-		for _, m := range msgs {
+		for _, m := range c.Msgs {
 			switch m.(type) {
 			case *wire.Subscribe, *wire.LeaseRenew, *wire.Unsubscribe:
 				s.learner.LearnPeer(m.From(), src)
@@ -454,93 +425,59 @@ func (s *Service) onDatagram(payload []byte, src netip.AddrPort) {
 	}
 	// Counted at dispatch on the shard loop, not here: a datagram the
 	// closing service drops between decode and dispatch must not inflate
-	// the delivered-traffic counters. (payload is captured by size now —
-	// the transport reuses the buffer after we return.)
-	fl := inFlightPool.Get().(*inFlight)
-	fl.inbox = ib
-	fl.msgs = msgs
-	fl.bytes = len(payload) + wire.UDPOverhead
-	fl.batch = len(msgs) > 1
-	if len(s.shards) == 1 {
-		// Single-shard fast path: no steering pass, the whole datagram is
-		// one part — exactly the classic single-loop delivery.
-		s.dispatchWhole(fl, ib, s.shards[0])
-		return
-	}
-	s.steer(fl, ib)
-}
-
-// dispatchWhole hands an undivided datagram to one shard: a single part
-// covering every message, carrying the datagram-level counters.
-func (s *Service) dispatchWhole(fl *inFlight, ib *wire.Inbox, sh *serviceShard) {
-	fl.pending.Store(1)
-	s.inboxes.Put(ib)
-	sh.enqueueInbound(inboundPart{fl: fl, lo: 0, hi: len(fl.msgs), datagram: true})
+	// the delivered-traffic counters.
+	s.steer(c)
 }
 
 // steer partitions one decoded datagram's messages into shard-contiguous
 // runs and hands each run to its owning shard. The outbound coalescer
 // freely mixes groups bound for one peer into one datagram, so a received
 // batch routinely spans shards; a stable scatter (two passes over the
-// messages, scratch tables on the stack, destination slice recycled from
-// the inbox) keeps per-message order inside each shard identical to wire
+// messages, scratch tables on the stack, destination slice owned by the
+// carrier) keeps per-message order inside each shard identical to wire
 // order, which is what preserves the per-peer FIFO the protocol relies
 // on. The datagram-level counters ride with the part holding the first
 // message.
 //
 //leadervet:hotpath
-func (s *Service) steer(fl *inFlight, ib *wire.Inbox) {
-	msgs := fl.msgs
+//leadervet:releases c
+func (s *Service) steer(c *wire.Carrier) {
 	var counts [MaxShards]int32
-	for _, m := range msgs {
+	for _, m := range c.Msgs {
 		counts[s.shardIndex(m.GroupID())]++
 	}
-	// A datagram whose messages all landed on one shard (the common case:
-	// member traffic between two nodes sharing one group) skips the
-	// scatter entirely.
-	first := s.shardIndex(msgs[0].GroupID())
-	if int(counts[first]) == len(msgs) {
-		s.dispatchWhole(fl, ib, s.shards[first])
+	// A datagram whose messages all landed on one shard (always, with one
+	// shard; otherwise the common case: member traffic between two nodes
+	// sharing one group) skips the scatter entirely: one part, exactly the
+	// classic single-loop delivery.
+	first := s.shardIndex(c.Msgs[0].GroupID())
+	if int(counts[first]) == len(c.Msgs) {
+		s.shards[first].enqueueInbound(inboundPart{c: c, hi: len(c.Msgs), datagram: true})
 		return
 	}
-	var starts, offsets [MaxShards]int32
-	parts := int32(0)
+	var offsets [MaxShards]int32 // where each shard's run ends so far
+	parts := 0
 	pos := int32(0)
 	for i := range s.shards {
-		starts[i] = pos
 		offsets[i] = pos
 		pos += counts[i]
 		if counts[i] > 0 {
 			parts++
 		}
 	}
-	dst := ib.TakeSlice()
-	if cap(dst) < len(msgs) {
-		// Too small to scatter into: back to the pool, not the floor.
-		ib.Recycle(dst, false)
-		dst = make([]wire.Message, len(msgs)) //leadervet:ignore — cold pool-miss fallback, amortised away
-	} else {
-		dst = dst[:len(msgs)]
-	}
-	for _, m := range msgs {
+	for _, m := range c.Scatter() {
 		i := s.shardIndex(m.GroupID())
-		dst[offsets[i]] = m
+		c.Msgs[offsets[i]] = m
 		offsets[i]++
 	}
-	// The scatter slice replaces the decode slice as the carrier payload;
-	// the decode slice goes straight back to the pool (its messages live
-	// on, now referenced by dst).
-	fl.msgs = dst
-	ib.Recycle(msgs[:0], false)
-	s.inboxes.Put(ib)
-	fl.pending.Store(parts)
+	c.Share(parts)
 	for i := range s.shards {
 		if counts[i] == 0 {
 			continue
 		}
 		s.shards[i].enqueueInbound(inboundPart{
-			fl:       fl,
-			lo:       int(starts[i]),
+			c:        c,
+			lo:       int(offsets[i] - counts[i]),
 			hi:       int(offsets[i]),
 			datagram: i == first,
 		})

@@ -140,56 +140,70 @@ func TestSteeringSingleShardGroupFastPath(t *testing.T) {
 	}
 }
 
-// TestSteerRecyclesUndersizedScatterSlice pins the pool-miss fallback in
-// steer: when the inbox's recycled destination slice is too small to
-// scatter the datagram into, the slice must go back to the pool, not be
-// dropped. The regression (found by the poolcheck analyzer) leaked one
-// pooled slice per undersized scatter, slowly draining the inbox slice
-// pool under mixed datagram sizes.
-func TestSteerRecyclesUndersizedScatterSlice(t *testing.T) {
-	hub := transport.NewInproc(nil)
-	s, err := New("p1", hub.Endpoint("p1"), WithSeed(1), WithShards(4))
-	if err != nil {
-		t.Fatal(err)
+// TestSteerKeepsWireOrderAndReusesScatter pins the steering stage against
+// the carrier: a cross-shard datagram larger than any its carrier has seen
+// is scattered into shard-contiguous runs whose order inside each shard is
+// wire order (the per-peer FIFO the protocol relies on), every message
+// reaches exactly the shard owning its group, and — the scatter slice
+// being the carrier's own, grown once — steering the next such datagram
+// allocates nothing.
+func TestSteerKeepsWireOrderAndReusesScatter(t *testing.T) {
+	// Rings only, no loops: the test drains the shards itself.
+	s := &Service{closing: make(chan struct{})}
+	for i := 0; i < 4; i++ {
+		s.shards = append(s.shards, &serviceShard{svc: s, idx: i, inbound: make(chan inboundPart, 1)})
 	}
-	defer s.Close(context.Background())
-
-	gids := pickCrossShardGroups(t, s, 2)
-	msgs := []wire.Message{
-		&wire.Join{Group: gids[0], Sender: "zz", Incarnation: 1},
-		&wire.Join{Group: gids[1], Sender: "zz", Incarnation: 1},
-	}
-
-	// A private inbox whose slice pool holds exactly one undersized
-	// destination slice: steer's TakeSlice returns it, finds it too small
-	// for the two-message scatter, and must recycle it.
-	ib := wire.NewInbox()
-	ib.Recycle(make([]wire.Message, 1), false)
-
-	fl := inFlightPool.Get().(*inFlight)
-	fl.inbox = ib
-	fl.msgs = msgs
-	fl.bytes = 64
-	fl.batch = true
-	s.steer(fl, ib)
-
-	// steer recycles both the undersized slice and the decode slice
-	// synchronously, before the shard parts complete, so the cap-1 slice
-	// must already be back in the pool. (A shard finishing fast may have
-	// recycled the scatter slice into ib too; only cap 1 is asserted on.)
-	found := false
-	for i := 0; i < 8; i++ {
-		sl := ib.TakeSlice()
-		if sl == nil {
-			break
+	gids := pickCrossShardGroups(t, s, 4)
+	datagram := func(n int) []byte {
+		b := &wire.Batch{}
+		for i := 0; i < n; i++ {
+			// Incarnation records the wire position.
+			b.Msgs = append(b.Msgs, &wire.Leave{Group: gids[(i*7)%len(gids)], Sender: "zz", Incarnation: int64(i)})
 		}
-		if cap(sl) == 1 {
-			found = true
-			break
+		return wire.MarshalAppend(nil, b)
+	}
+	var strings wire.Interner
+	steerOne := func(payload []byte, check func(shard int, run []wire.Message)) {
+		c := wire.GetCarrier()
+		if _, err := c.Decode(&strings, payload); err != nil {
+			t.Fatal(err)
+		}
+		s.steer(c)
+		for i, sh := range s.shards {
+			p := <-sh.inbound
+			if check != nil {
+				check(i, p.c.Msgs[p.lo:p.hi])
+			}
+			p.c.Release()
 		}
 	}
-	if !found {
-		t.Fatal("undersized scatter slice was dropped instead of recycled back to the inbox pool")
+
+	steerOne(datagram(8), nil) // what the carrier had seen before
+	const n = 96
+	big := datagram(n)
+	seen := 0
+	steerOne(big, func(shard int, run []wire.Message) {
+		last := int64(-1)
+		for _, m := range run {
+			l := m.(*wire.Leave)
+			if got := s.shardIndex(l.Group); got != shard {
+				t.Fatalf("message %d of group %q (shard %d) steered to shard %d", l.Incarnation, l.Group, got, shard)
+			}
+			if l.Incarnation <= last {
+				t.Fatalf("shard %d saw wire position %d after %d: order inside a shard must be wire order", shard, l.Incarnation, last)
+			}
+			last = l.Incarnation
+			seen++
+		}
+	})
+	if seen != n {
+		t.Fatalf("steered %d of %d messages", seen, n)
+	}
+	if RaceEnabled {
+		return // sync.Pool drops Puts under the race detector
+	}
+	if allocs := testing.AllocsPerRun(100, func() { steerOne(big, nil) }); allocs != 0 {
+		t.Fatalf("steering a second %d-message cross-shard datagram allocated %.1f times, want 0", n, allocs)
 	}
 }
 

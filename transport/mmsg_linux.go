@@ -154,6 +154,13 @@ type mmsgReader struct {
 	iovs  [mmsgRecvBatch]syscall.Iovec
 	names [mmsgRecvBatch]sockaddrBuf
 	hdrs  [mmsgRecvBatch]mmsghdr
+
+	// call is r.recvmmsg bound once, and n/errno are where it leaves the
+	// syscall's results: a closure built per rc.Read, with captured
+	// results, would escape to the heap on every syscall.
+	call  func(fd uintptr) bool
+	n     int
+	errno syscall.Errno
 }
 
 // newMmsgReader builds the ring for one socket; nil when the socket
@@ -164,6 +171,7 @@ func newMmsgReader(conn *net.UDPConn) *mmsgReader {
 		return nil
 	}
 	r := &mmsgReader{rc: rc}
+	r.call = r.recvmmsg
 	for i := range r.hdrs {
 		bp := getPayloadBuf()
 		r.bufs[i] = bp //leadervet:handoff — ring slot owns the buffer until release()
@@ -181,6 +189,8 @@ func newMmsgReader(conn *net.UDPConn) *mmsgReader {
 // up to mmsgRecvBatch datagrams in one syscall. It returns the datagram
 // count; the error is the poller's (socket closed) or a raw errno, which
 // the caller classifies for the downgrade ladder.
+//
+//leadervet:hotpath
 func (r *mmsgReader) recv() (int, error) {
 	for i := range r.hdrs {
 		// Restore the fields the kernel overwrites per call.
@@ -189,23 +199,26 @@ func (r *mmsgReader) recv() (int, error) {
 		r.hdrs[i].n = 0
 	}
 	for {
-		var n int
-		var errno syscall.Errno
-		err := r.rc.Read(func(fd uintptr) bool {
-			n, errno = recvmmsgFn(fd, r.hdrs[:], syscall.MSG_DONTWAIT)
-			return errno != syscall.EAGAIN
-		})
-		if err != nil {
+		if err := r.rc.Read(r.call); err != nil {
 			return 0, err
 		}
-		if errno == syscall.EINTR {
+		if r.errno == syscall.EINTR {
 			continue
 		}
-		if errno != 0 {
-			return 0, errno
+		if r.errno != 0 {
+			return 0, r.errno //leadervet:ignore — boxes the errno once, on the error that ends or demotes the loop
 		}
-		return n, nil
+		return r.n, nil
 	}
+}
+
+// recvmmsg is the netpoller callback of recv: one non-blocking syscall,
+// false (wait for readability, call again) when the socket is empty.
+//
+//leadervet:hotpath
+func (r *mmsgReader) recvmmsg(fd uintptr) bool {
+	r.n, r.errno = recvmmsgFn(fd, r.hdrs[:], syscall.MSG_DONTWAIT)
+	return r.errno != syscall.EAGAIN
 }
 
 // payload returns the i-th received datagram's bytes, valid until the
@@ -244,6 +257,24 @@ type sendVec struct {
 	segs  [maxSendBatch]int32
 	ctrl  [maxSendBatch][32]byte
 	gso   [gsoBufCap]byte
+
+	// call is v.sendmmsg, bound the first time a pooled scratch is used; it
+	// sends hdrs[off:n] and leaves the syscall's results in k/errno — like
+	// mmsgReader, so that a syscall allocates nothing.
+	call   func(fd uintptr) bool
+	off, n int
+	k      int
+	errno  syscall.Errno
+}
+
+// sendmmsg is the netpoller callback of sendMmsg: one non-blocking
+// syscall over the unsent headers, false (wait for writability, call
+// again) when the socket buffer is full.
+//
+//leadervet:hotpath
+func (v *sendVec) sendmmsg(fd uintptr) bool {
+	v.k, v.errno = sendmmsgFn(fd, v.hdrs[v.off:v.n], syscall.MSG_DONTWAIT)
+	return v.errno != syscall.EAGAIN
 }
 
 // putGsoCmsg writes one UDP_SEGMENT cmsg announcing seg-byte segments
@@ -326,41 +357,39 @@ func (v *sendVec) build(family int, s *sendScratch, batch []Datagram, gso bool) 
 }
 
 // sendMmsg transmits every resolved, non-direct entry of batch through
-// sendmmsg on conn. A partial transmission (the kernel accepts k < n
+// sendmmsg on the socket behind rc. A partial transmission (the kernel accepts k < n
 // headers) retries the remainder — never drops it. A per-header errno
 // (e.g. ECONNREFUSED bounced from an earlier ICMP) skips that header
 // only, matching Send's independent best-effort contract. downgrade is
 // true when the very first syscall says the kernel will never serve
 // sendmmsg; the caller then demotes the transport and resends the whole
 // chunk through the portable path (nothing has hit the wire yet).
-func (u *UDP) sendMmsg(conn *net.UDPConn, s *sendScratch, batch []Datagram) (sent int, firstErr error, downgrade bool) {
-	rc, err := conn.SyscallConn()
-	if err != nil {
+//
+//leadervet:hotpath
+func (u *UDP) sendMmsg(rc syscall.RawConn, s *sendScratch, batch []Datagram) (sent int, firstErr error, downgrade bool) {
+	if rc == nil {
 		return 0, nil, true
 	}
 	v := &s.vec
-	n := v.build(u.family, s, batch, u.gsoOK)
-	if n == 0 {
+	v.n = v.build(u.family, s, batch, u.gsoOK)
+	if v.n == 0 {
 		return 0, nil, false
 	}
-	off := 0
-	for off < n {
-		var k int
-		var errno syscall.Errno
-		werr := rc.Write(func(fd uintptr) bool {
-			k, errno = sendmmsgFn(fd, v.hdrs[off:n], syscall.MSG_DONTWAIT)
-			return errno != syscall.EAGAIN
-		})
-		if werr != nil {
+	if v.call == nil {
+		v.call = v.sendmmsg
+	}
+	v.off = 0
+	for v.off < v.n {
+		if werr := rc.Write(v.call); werr != nil {
 			// The socket died under us (Close racing a send): report, stop.
 			if firstErr == nil {
 				firstErr = werr
 			}
 			break
 		}
-		if k > 0 {
+		if v.k > 0 {
 			u.io.sendSyscalls.Add(1)
-			for i := off; i < off+k; i++ {
+			for i := v.off; i < v.off+v.k; i++ {
 				segs := int(v.segs[i])
 				sent += segs
 				if segs > 1 {
@@ -368,18 +397,18 @@ func (u *UDP) sendMmsg(conn *net.UDPConn, s *sendScratch, batch []Datagram) (sen
 					u.io.gsoSegments.Add(int64(segs))
 				}
 			}
-			off += k
+			v.off += v.k
 			continue
 		}
-		if errno != 0 {
-			if mmsgDowngradeErrno(errno) && off == 0 && sent == 0 {
+		if v.errno != 0 {
+			if mmsgDowngradeErrno(v.errno) && v.off == 0 && sent == 0 {
 				return 0, nil, true
 			}
 			u.io.sendSyscalls.Add(1)
 			if firstErr == nil {
-				firstErr = errno
+				firstErr = v.errno //leadervet:ignore — boxes the errno of a failed header, not of a sent one
 			}
-			off++ // this header's datagram(s) failed; the rest still go
+			v.off++ // this header's datagram(s) failed; the rest still go
 			continue
 		}
 		break // k == 0 with no errno: never observed; avoid spinning

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"stableleader/id"
 )
@@ -105,6 +106,9 @@ type UDP struct {
 	// conns are the bound sockets; conns[0] is the send socket and the
 	// address LocalAddr reports. Immutable after construction.
 	conns []*net.UDPConn
+	// raws[i] is conns[i]'s descriptor handle, fetched once: SyscallConn
+	// builds a new one per call, and sendmmsg needs it per syscall.
+	raws []syscall.RawConn
 
 	// family is the socket address family (famIPv4/famIPv6), fixed at
 	// construction; the raw sendmmsg path encodes sockaddrs for it.
@@ -204,8 +208,13 @@ func NewUDP(listen string, peers map[id.Process]string, opts ...UDPOption) (*UDP
 			_ = c.SetWriteBuffer(cfg.sockBuf)
 		}
 	}
+	raws := make([]syscall.RawConn, len(conns))
+	for i, c := range conns {
+		raws[i], _ = c.SyscallConn() // nil demotes sends on that socket to plain writes
+	}
 	u := &UDP{
 		conns:      conns,
+		raws:       raws,
 		family:     sockFamily(conns[0]),
 		batch:      cfg.batchIO && mmsgSupported,
 		readerDone: make(chan struct{}),
@@ -360,6 +369,8 @@ func (u *UDP) readLoop(conn *net.UDPConn) {
 // a pinned buffer ring and delivers each through the handler contract.
 // Returns true when the loop is done (socket closed), false to demote to
 // the classic loop.
+//
+//leadervet:hotpath
 func (u *UDP) readLoopBatched(conn *net.UDPConn) bool {
 	r := newMmsgReader(conn)
 	if r == nil {
@@ -405,6 +416,8 @@ func (u *UDP) liveHandler() func([]byte, netip.AddrPort) {
 // payload, per the Receive contract). In multi-receiver mode several
 // readLoops run concurrently, which the handler contract has always
 // permitted.
+//
+//leadervet:hotpath
 func (u *UDP) readLoopClassic(conn *net.UDPConn) {
 	for {
 		bp := getPayloadBuf()
@@ -438,18 +451,18 @@ func (u *UDP) Send(to id.Process, payload []byte) error {
 	return u.writeOne(u.conns[0], payload, addr)
 }
 
-// sendConn maps a send hint onto one of the sockets, stably: a fixed hint
+// sendConn maps a send hint onto one of the sockets (its index), stably: a fixed hint
 // per caller (the service passes its shard index) spreads concurrent
 // senders across the multi-receiver sockets instead of funneling them
 // through one socket's write lock, while keeping each (hint, destination)
 // stream on one socket — per-pair send order is preserved.
 //
 //leadervet:hotpath
-func (u *UDP) sendConn(hint int) *net.UDPConn {
-	if hint <= 0 || len(u.conns) == 1 {
-		return u.conns[0]
+func (u *UDP) sendConn(hint int) int {
+	if hint <= 0 {
+		return 0
 	}
-	return u.conns[hint%len(u.conns)]
+	return hint % len(u.conns)
 }
 
 // writeOne is the single-datagram write: one syscall, counted.
@@ -497,6 +510,8 @@ func (u *UDP) SendVector(hint int, batch []Datagram) (int, error) {
 // the raw path, or everything after a downgrade) through single writes.
 // Entries to one destination never change lanes, so per-destination
 // index order holds.
+//
+//leadervet:hotpath
 func (u *UDP) sendChunk(hint int, batch []Datagram) (int, error) {
 	s := getSendScratch()
 	defer putSendScratch(s)
@@ -509,23 +524,24 @@ func (u *UDP) sendChunk(hint int, batch []Datagram) (int, error) {
 	}
 	u.mu.RUnlock()
 	if closed {
-		return 0, fmt.Errorf("udp: %w", errClosed)
+		return 0, fmt.Errorf("udp: %w", errClosed) //leadervet:ignore — the transport is closed: nothing is hot any more
 	}
 	var firstErr error
 	for i := range batch {
 		if !s.ok[i] {
 			s.direct[i] = false
 			if firstErr == nil {
-				firstErr = fmt.Errorf("transport: no address for process %q", batch[i].To)
+				firstErr = fmt.Errorf("transport: no address for process %q", batch[i].To) //leadervet:ignore — an unroutable id is a configuration error, reported once per chunk
 			}
 			continue
 		}
 		s.direct[i] = u.needsDirect(s.addrs[i])
 	}
-	conn := u.sendConn(hint)
+	sock := u.sendConn(hint)
+	conn := u.conns[sock]
 	sent, vectored := 0, false
 	if len(batch) > 1 && u.BatchIO() {
-		n, err, downgrade := u.sendMmsg(conn, s, batch)
+		n, err, downgrade := u.sendMmsg(u.raws[sock], s, batch)
 		if downgrade {
 			// The kernel (or a seccomp policy) refuses sendmmsg: demote the
 			// transport for good — nothing of this chunk has hit the wire
