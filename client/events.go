@@ -98,6 +98,12 @@ func (LeaseLost) isEvent() {}
 // EndpointTombstoned reports a serving endpoint's goodbye: it stopped
 // serving the group (graceful leave or shutdown) and told us so, which is
 // cheaper than waiting out the lease. Failover is already in progress.
+//
+// It is not delivered when the departing endpoint was also the group's
+// leader and handed over on its way out: that goodbye names the successor,
+// the client re-pins to it before the tombstone is processed, and the
+// watcher sees a fresh LeaderUpdated naming the successor instead (no stale
+// window). Code waiting for an endpoint to go away must accept either.
 type EndpointTombstoned struct {
 	// Group is the group concerned.
 	Group id.Group

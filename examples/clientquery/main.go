@@ -81,14 +81,25 @@ func main() {
 	served := lease.ServedBy
 	_ = services[served].Close(ctx)
 	delete(services, served)
+	// When the endpoint also led the group, its goodbye names the successor
+	// it handed over to: the client re-pins there at once and reports the
+	// successor as a fresh LeaderUpdated — there is no tombstone event to
+	// wait for.
+failover:
 	for ev := range events {
-		if tb, ok := ev.(client.EndpointTombstoned); ok {
-			fmt.Printf("-> tombstone from %s; failing over\n", tb.Endpoint)
-			break
+		switch e := ev.(type) {
+		case client.EndpointTombstoned:
+			fmt.Printf("-> tombstone from %s; failing over\n", e.Endpoint)
+			break failover
+		case client.LeaderUpdated:
+			if e.Lease.ServedBy != served || e.Lease.Leader != served {
+				fmt.Printf("-> %s handed over to %s on its way out; re-pinned\n", served, e.Lease.Leader)
+				break failover
+			}
 		}
 	}
 	lease = waitElected(ctx, cli)
-	fmt.Printf("-> re-served by %s, leader still %s\n\n", lease.ServedBy, lease.Leader)
+	fmt.Printf("-> fresh lease again: leader %s (view from %s)\n\n", lease.Leader, lease.ServedBy)
 
 	// Crash the leader itself (it may or may not be the serving
 	// endpoint): the re-election propagates to the client as an event.

@@ -577,3 +577,25 @@ func (n *Node) sendNow(to id.Process, m wire.Message) {
 func (n *Node) sendLazy(to id.Process, m wire.Message) {
 	n.out.Enqueue(to, m, n.coalesceDelayFor(to))
 }
+
+// sendBackground enqueues m for to with no latency requirement of its own
+// (periodic gossip, rate requests): it waits for the next heartbeat this
+// node owes to — due at the pacer's earliest stream, leaving one coalescing
+// delay later — and rides that datagram, though never longer than its own
+// period (heartbeats slower than the gossip must not slow the gossip).
+// Toward a peer we send no heartbeats it waits an eighth of its period
+// instead, so the groups of a follower share datagrams with each other.
+// Either way the deadline is armed now: a stream dropped before its beat
+// delays nothing, and any lazy or urgent message bound for to meanwhile
+// takes m along, in order.
+//
+//leadervet:hotpath
+func (n *Node) sendBackground(to id.Process, m wire.Message, period time.Duration) {
+	d := period / 8
+	if pp := n.pacers[to]; pp != nil {
+		if e, ok := pp.earliest(); ok {
+			d = min(max(e.Sub(n.rt.Now()), 0)+n.coalesceDelayFor(to), period)
+		}
+	}
+	n.out.Enqueue(to, m, d)
+}

@@ -7,6 +7,7 @@ import (
 	"stableleader/id"
 	"stableleader/internal/election"
 	"stableleader/internal/simnet"
+	"stableleader/internal/wire"
 	"stableleader/qos"
 )
 
@@ -20,6 +21,20 @@ type cluster struct {
 	nodes map[id.Process]*Node
 	rts   map[id.Process]*simnet.NodeRuntime
 	procs []id.Process
+	// onSend, when set before start, sees every datagram a node emits.
+	onSend func(from, to id.Process, m wire.Message)
+}
+
+// tapRuntime shows a node's datagrams to the harness on their way out.
+type tapRuntime struct {
+	*simnet.NodeRuntime
+	self id.Process
+	tap  func(from, to id.Process, m wire.Message)
+}
+
+func (r tapRuntime) Send(to id.Process, m wire.Message) {
+	r.tap(r.self, to, m)
+	r.NodeRuntime.Send(to, m)
 }
 
 func newCluster(t *testing.T, model simnet.LinkModel, procs ...id.Process) *cluster {
@@ -42,7 +57,11 @@ func newCluster(t *testing.T, model simnet.LinkModel, procs ...id.Process) *clus
 func (c *cluster) start(p id.Process, opts JoinOptions) *Node {
 	c.t.Helper()
 	rt := simnet.NewNodeRuntime(c.net, p)
-	n := NewNode(p, rt)
+	var host Runtime = rt
+	if c.onSend != nil {
+		host = tapRuntime{rt, p, c.onSend}
+	}
+	n := NewNode(p, host)
 	c.net.SetUp(p, true, n)
 	c.nodes[p] = n
 	c.rts[p] = rt

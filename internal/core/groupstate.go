@@ -236,6 +236,12 @@ func (gs *groupState) intervalFor(ds *destState) time.Duration {
 	if ds.interval > 0 {
 		return ds.interval
 	}
+	return gs.defaultInterval()
+}
+
+// defaultInterval is the heartbeat interval of a stream nobody has sent a
+// RATE for.
+func (gs *groupState) defaultInterval() time.Duration {
 	return gs.opts.QoS.DetectionTime / 5
 }
 
@@ -483,13 +489,16 @@ func (gs *groupState) gossip() {
 	if k > len(peers) {
 		k = len(peers)
 	}
+	// One table for the round: a HELLO is immutable once built, so its
+	// targets share it like the targets of a JOIN do.
+	hello := gs.hello()
 	for _, p := range peers[:k] {
-		gs.sendHelloTo(p)
+		gs.n.sendBackground(p, hello, gs.opts.HelloInterval)
 	}
 }
 
-// sendHelloTo sends our full membership table to p.
-func (gs *groupState) sendHelloTo(p id.Process) {
+// hello builds a HELLO carrying our full membership table.
+func (gs *groupState) hello() *wire.Hello {
 	rows := gs.table.Snapshot()
 	members := make([]wire.MemberInfo, len(rows))
 	for i, r := range rows {
@@ -500,12 +509,12 @@ func (gs *groupState) sendHelloTo(p id.Process) {
 			Left:        r.Left,
 		}
 	}
-	gs.n.sendLazy(p, &wire.Hello{
+	return &wire.Hello{
 		Group:       gs.gid,
 		Sender:      gs.n.self,
 		Incarnation: gs.n.inc,
 		Members:     members,
-	})
+	}
 }
 
 // --- message handlers -----------------------------------------------------
@@ -531,7 +540,7 @@ func (gs *groupState) handleJoin(m *wire.Join) {
 	if changed {
 		gs.onMembershipChange()
 		// Greet the newcomer with our table so it converges immediately.
-		gs.sendHelloTo(m.Sender)
+		gs.n.sendLazy(m.Sender, gs.hello())
 	}
 }
 
@@ -658,7 +667,25 @@ func (gs *groupState) handleHandover(m *wire.Handover) {
 	}
 	gs.n.obs.Inc(obs.CHandoversRecv)
 	gs.n.obs.Record(obs.KindHandover, gs.gid, m.Successor, m.SuccessorInc, 0, gs.n.rt.Now())
+	gs.applyHandover(m)
+}
+
+// applyHandover feeds a handover to the election core and puts the
+// successor under failure detection. A standby that was silent until now
+// (ΩL followers send nothing) was never trusted by its monitor, so the
+// monitor would never report its crash either, and a successor dying before
+// its first heartbeat would lead this node's view forever. The departing
+// leader vouched for it by nominating it; taking that as one heartbeat at
+// the default interval arms the freshness deadline, and from here on the
+// successor heartbeats in time or is suspected like any leader.
+//
+//leadervet:onLoop
+func (gs *groupState) applyHandover(m *wire.Handover) {
 	gs.algo.HandleHandover(m)
+	if entry, ok := gs.monitors[m.Successor]; ok && entry.inc == m.SuccessorInc && !entry.mon.Trusted() {
+		now := gs.n.rt.Now()
+		entry.mon.Observe(now, gs.defaultInterval(), now)
+	}
 	gs.afterEvent()
 }
 
@@ -971,8 +998,7 @@ func (gs *groupState) performHandover(urgent bool) (id.Process, int64, bool) {
 	}
 	gs.n.obs.Inc(obs.CHandoversSent)
 	gs.n.obs.Record(obs.KindHandover, gs.gid, succ, succInc, 1, gs.n.rt.Now())
-	gs.algo.HandleHandover(m)
-	gs.afterEvent()
+	gs.applyHandover(m)
 	return succ, succInc, true
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"stableleader/id"
@@ -20,9 +22,11 @@ const maxCoalesceDelay = 2 * time.Millisecond
 // to run: one timer per peer instead of one per stream, the timer-side half
 // of the paper's shared-infrastructure argument.
 type pacer struct {
-	n       *Node
-	dest    id.Process
-	streams map[id.Group]*hbStream
+	n    *Node
+	dest id.Process
+	// streams is sorted by group id, at register/drop time, so the
+	// per-interval fire walks it in reproducible order without sorting.
+	streams []*hbStream
 	// timer is re-armable and lives as long as the pacer: the per-wake
 	// re-arm is an O(1) splice on wheel-backed clocks, so the pacer costs
 	// zero runtime-timer allocations in steady state.
@@ -41,7 +45,7 @@ type hbStream struct {
 func (n *Node) pacerFor(dest id.Process) *pacer {
 	pp := n.pacers[dest]
 	if pp == nil {
-		pp = &pacer{n: n, dest: dest, streams: make(map[id.Group]*hbStream)}
+		pp = &pacer{n: n, dest: dest}
 		pp.timer = clock.NewTimer(n.rt, pp.tick)
 		n.pacers[dest] = pp
 	}
@@ -61,7 +65,8 @@ func (n *Node) registerStream(gs *groupState, dest id.Process, ds *destState) {
 	if e, ok := pp.earliest(); ok && e.Before(due) {
 		due = e
 	}
-	pp.streams[gs.gid] = &hbStream{gs: gs, ds: ds, due: due}
+	i, _ := pp.find(gs.gid)
+	pp.streams = slices.Insert(pp.streams, i, &hbStream{gs: gs, ds: ds, due: due})
 	pp.refresh()
 	pp.rearm()
 }
@@ -73,10 +78,11 @@ func (n *Node) dropStream(gid id.Group, dest id.Process) {
 	if pp == nil {
 		return
 	}
-	if _, ok := pp.streams[gid]; !ok {
+	i, ok := pp.find(gid)
+	if !ok {
 		return
 	}
-	delete(pp.streams, gid)
+	pp.streams = slices.Delete(pp.streams, i, i+1)
 	if len(pp.streams) == 0 {
 		pp.timer.Stop()
 		// An already-queued callback is disarmed by tick's identity check
@@ -96,11 +102,11 @@ func (n *Node) retimeStream(gid id.Group, dest id.Process, due time.Time) {
 	if pp == nil {
 		return
 	}
-	st := pp.streams[gid]
-	if st == nil {
+	i, ok := pp.find(gid)
+	if !ok {
 		return
 	}
-	st.due = due
+	pp.streams[i].due = due
 	pp.refresh()
 	pp.rearm()
 }
@@ -118,6 +124,14 @@ func (n *Node) coalesceDelayFor(to id.Process) time.Duration {
 		d = maxCoalesceDelay
 	}
 	return d
+}
+
+// find returns gid's position in the sorted stream list, or where it would
+// be inserted.
+func (pp *pacer) find(gid id.Group) (int, bool) {
+	return slices.BinarySearchFunc(pp.streams, gid, func(st *hbStream, gid id.Group) int {
+		return cmp.Compare(st.gs.gid, gid)
+	})
 }
 
 // earliest returns the soonest due time across streams.
@@ -168,10 +182,11 @@ func (pp *pacer) tick() {
 // interval, pulled forward so they share the wake-up and the datagram. The
 // early-send slack costs at most a third more heartbeats on a stream in the
 // worst case and is what keeps unequal phases from persisting forever.
+//
+//leadervet:hotpath
 func (pp *pacer) fire() {
 	now := pp.n.rt.Now()
-	for _, gid := range sortedKeys(pp.streams) {
-		st := pp.streams[gid]
+	for _, st := range pp.streams {
 		if st.gs.stopped || !st.gs.active {
 			continue // unregistration is in flight; do not send
 		}

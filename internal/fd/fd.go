@@ -68,12 +68,15 @@ type Monitor struct {
 	deadline time.Time
 	// requested is the last interval communicated to the sender.
 	requested time.Duration
-	// observed is the sending interval advertised by the last heartbeat.
-	// If it drifts from requested, the RATE message was lost (or the
-	// sender restarted): the request is repeated at the next
+	// observed is the sending interval advertised by the freshest
+	// heartbeat seen since the last request was issued; zero when nothing
+	// has arrived since. If it drifts from requested, the RATE message was
+	// lost (or the sender restarted): the request is repeated at the next
 	// reconfiguration. Without this, a single lost RATE leaves the link
 	// heartbeating slower than the configured timeout assumes, quietly
-	// voiding the QoS guarantee.
+	// voiding the QoS guarantee. A sender heard nothing from since the
+	// request — an ΩL follower silent on purpose — is no evidence of being
+	// ignored, and is not asked again until it speaks.
 	observed time.Duration
 
 	// deadlineTimer and reconfTimer are re-armable: created once with the
@@ -97,12 +100,20 @@ func NewMonitor(cfg Config) *Monitor {
 	m.deadlineTimer = clock.NewTimer(cfg.Clock, m.expire)
 	m.reconfTimer = clock.NewTimer(cfg.Clock, m.reconfTick)
 	m.params = qos.Configure(cfg.Spec, statsOf(cfg.Estimator))
-	m.requested = m.params.Interval
-	if cfg.RequestRate != nil {
-		cfg.RequestRate(m.requested)
-	}
+	m.request(m.params.Interval)
 	m.reconfTimer.Reset(m.cfg.ReconfigureInterval)
 	return m
+}
+
+// request records want as the interval asked of the sender and issues the
+// RATE. Evidence of the sender's behaviour starts afresh: only a heartbeat
+// observed from here on can show this request ignored.
+func (m *Monitor) request(want time.Duration) {
+	m.requested = want
+	m.observed = 0
+	if m.cfg.RequestRate != nil {
+		m.cfg.RequestRate(want)
+	}
 }
 
 // statsOf converts the estimator snapshot into configurator input.
@@ -187,9 +198,10 @@ func (m *Monitor) reconfTick() {
 }
 
 // reconfigure recomputes (η, δ) from the latest link estimate and requests
-// a new heartbeat rate when it changed materially — or when the sender is
-// observably not honouring the previous request (the RATE was lost on an
-// unreliable link, or the sender restarted and fell back to its default).
+// a new heartbeat rate when it changed materially — or when a heartbeat
+// seen since the previous request shows the sender not honouring it (the
+// RATE was lost on an unreliable link, or the sender restarted or resumed
+// competing at its default).
 func (m *Monitor) reconfigure() {
 	prev := m.params
 	m.params = qos.Configure(m.cfg.Spec, statsOf(m.cfg.Estimator))
@@ -205,9 +217,8 @@ func (m *Monitor) reconfigure() {
 	}
 	changed := relativeDiff(want, m.requested) > rateChangeThreshold
 	ignored := m.observed > 0 && relativeDiff(m.observed, m.requested) > rateChangeThreshold
-	if (changed || ignored) && m.cfg.RequestRate != nil {
-		m.requested = want
-		m.cfg.RequestRate(want)
+	if changed || ignored {
+		m.request(want)
 	}
 }
 

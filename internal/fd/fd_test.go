@@ -242,3 +242,31 @@ func TestLostRateIsRepeated(t *testing.T) {
 		t.Fatalf("monitor never repeated its RATE request (rates=%v)", h.rates)
 	}
 }
+
+// TestSilentSenderIsNotAskedAgain is the regression test for the RATE
+// chatter ΩL followers used to draw: a peer that heartbeat at its default
+// interval before our request reached it and then fell silent on purpose
+// advertised "another interval" forever in the monitor's memory, so the
+// request was repeated every reconfigure period with nobody sending. Only a
+// heartbeat seen after a request is evidence of that request being ignored.
+func TestSilentSenderIsNotAskedAgain(t *testing.T) {
+	h := newHarness(t, qos.Default())
+	defaultInterval := 2 * h.rates[0]
+	for i := 1; i <= 3; i++ {
+		h.heartbeat(uint64(i), defaultInterval)
+		h.eng.RunFor(defaultInterval)
+	}
+	asked := len(h.rates)
+	h.eng.RunFor(30 * time.Second)
+	if repeats := len(h.rates) - asked; repeats > 1 {
+		t.Fatalf("RATE repeated %d times toward a silent sender in 30s, want at most 1 (rates=%v)", repeats, h.rates)
+	}
+	// The follower starts competing again at its default: that heartbeat is
+	// evidence, and the repair must come within one reconfigure period.
+	asked = len(h.rates)
+	h.heartbeat(4, defaultInterval)
+	h.eng.RunFor(DefaultReconfigureInterval)
+	if len(h.rates) != asked+1 {
+		t.Fatalf("resumed sender at the wrong interval drew %d requests in one period, want 1", len(h.rates)-asked)
+	}
+}

@@ -66,6 +66,10 @@ const (
 	CInboundParts      // datagram parts dispatched on this shard
 	CInboundSplitParts // continuation parts of datagrams split across shards
 
+	// Event-loop plane: what the at-rest cost is charged per.
+	CLoopWakeups // shard-loop wake-ups (commands and inbound parts served)
+	CTimerFires  // timer-driver fires (wheel advances run on the loop)
+
 	counterCount // must stay last
 )
 
@@ -100,6 +104,8 @@ var counterDefs = [counterCount]counterDef{
 	CTombstones:         {"stableleader_client_tombstones_total", "Tombstone snapshots sent to subscribers."},
 	CInboundParts:       {"stableleader_inbound_parts_total", "Steered datagram parts dispatched on the event loops."},
 	CInboundSplitParts:  {"stableleader_inbound_split_parts_total", "Continuation parts of datagrams split across shards."},
+	CLoopWakeups:        {"stableleader_loop_wakeups_total", "Shard event-loop wake-ups: commands (timer advances included) and inbound datagram parts served."},
+	CTimerFires:         {"stableleader_timer_driver_fires_total", "Timer-driver fires: wheel advances run on the shard loops."},
 }
 
 // Name returns the counter's Prometheus series name.

@@ -173,6 +173,8 @@ func (s *Scheduler) Staged() (msgs, dests int) {
 }
 
 // flush emits q's staged messages as one counted datagram.
+//
+//leadervet:hotpath
 func (s *Scheduler) flush(to id.Process, q *queue) {
 	if q.armed {
 		q.timer.Stop()
@@ -185,17 +187,21 @@ func (s *Scheduler) flush(to id.Process, q *queue) {
 	var m wire.Message
 	if n == 1 {
 		// Fast path: a lone message ships bare, byte-compatible with the
-		// pre-batch format. The slice slot is cleared so the staged buffer
-		// can be reused without retaining the message.
+		// pre-batch format.
 		m = q.msgs[0]
-		q.msgs[0] = nil
-		q.msgs = q.msgs[:0]
 	} else {
-		// Ownership of the slice moves into the envelope (the host may
-		// retain it past Emit, e.g. a simulated in-flight datagram).
-		m = &wire.Batch{Msgs: q.msgs}
-		q.msgs = nil
+		// The envelope and its slice come from the send pool and belong to
+		// Emit from here on: a host that marshals and releases hands them
+		// back, one that retains the datagram (a simulated in-flight one)
+		// just keeps them.
+		b := wire.GetBatch()
+		b.Msgs = append(b.Msgs, q.msgs...)
+		m = b
 	}
+	// The staging buffer stays with the queue, emptied so it retains no
+	// message.
+	clear(q.msgs)
+	q.msgs = q.msgs[:0]
 	q.bytes = 0
 	s.cfg.Counters.CountOut(n, m.WireSize()+wire.UDPOverhead)
 	s.cfg.Emit(to, m)

@@ -5,15 +5,18 @@ import "sync"
 // Send-side message pooling.
 //
 // The receive side recycles message structs through each carrier's
-// freelists; the send side needs the mirror for exactly one kind:
-// LeaderSnapshot, the client-plane fan-out payload. A leader-change edge
-// under 10k subscribers builds 10k snapshot structs in one burst, and
-// before pooling that burst dominated the fan-out's allocation profile
-// (BenchmarkFanout: 1001 allocs per 1000-subscriber publication).
+// freelists; the send side needs the mirror for two things: the Batch
+// envelope (and its message slice) every coalesced datagram leaves in — at
+// rest, one per peer per heartbeat — and LeaderSnapshot, the client-plane
+// fan-out payload. A leader-change edge under 10k subscribers builds 10k
+// snapshot structs in one burst, and before pooling that burst dominated
+// the fan-out's allocation profile (BenchmarkFanout: 1001 allocs per
+// 1000-subscriber publication).
 //
 // The contract mirrors the outbound ownership chain: the producer (the
-// subscriber registry) obtains a struct from GetLeaderSnapshot, hands it
-// to the node's send path, and never touches it again; the host that
+// subscriber registry, the outbound scheduler) obtains a struct from
+// GetLeaderSnapshot or GetBatch, hands it to the node's send path, and
+// never touches it again; the host that
 // consumes the message — the real-time service, which marshals it into a
 // datagram and drops it — returns it through ReleaseOutbound after the
 // bytes are on the wire. Hosts that retain messages past Send (the
@@ -30,9 +33,20 @@ func GetLeaderSnapshot() *LeaderSnapshot {
 	return snapshotPool.Get().(*LeaderSnapshot)
 }
 
-// ReleaseOutbound recycles the pool-managed messages inside one emitted
-// datagram: a bare LeaderSnapshot, or the LeaderSnapshots carried by a
-// Batch envelope. Every other kind is left to the garbage collector — the
+var batchPool = sync.Pool{New: func() any { return new(Batch) }}
+
+// GetBatch returns an empty Batch envelope whose Msgs slice keeps the
+// capacity of its previous datagram, recycled when the consuming host
+// releases it through ReleaseOutbound.
+//
+//leadervet:acquires
+func GetBatch() *Batch {
+	return batchPool.Get().(*Batch)
+}
+
+// ReleaseOutbound recycles the pool-managed parts of one emitted datagram:
+// a bare LeaderSnapshot, or a Batch envelope with the LeaderSnapshots it
+// carries. Every other kind is left to the garbage collector — the
 // protocol core builds those rarely and may share slices (HELLO member
 // rows) that must not be recycled out from under a retainer. The caller
 // must own m outright (the outbound scheduler transfers ownership at
@@ -45,12 +59,13 @@ func ReleaseOutbound(m Message) {
 		*t = LeaderSnapshot{}
 		snapshotPool.Put(t)
 	case *Batch:
-		for i, inner := range t.Msgs {
+		for _, inner := range t.Msgs {
 			if s, ok := inner.(*LeaderSnapshot); ok {
 				*s = LeaderSnapshot{}
 				snapshotPool.Put(s)
-				t.Msgs[i] = nil
 			}
 		}
+		t.Msgs = kept(t.Msgs)
+		batchPool.Put(t)
 	}
 }

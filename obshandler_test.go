@@ -199,6 +199,9 @@ func TestObservabilityPlaneEndToEnd(t *testing.T) {
 		"stableleader_recv_syscalls_total",
 		"stableleader_recv_packets_per_syscall",
 		"stableleader_send_packets_per_syscall",
+		// Event-loop plane: what the at-rest cost is charged per.
+		"stableleader_loop_wakeups_total",
+		"stableleader_timer_driver_fires_total",
 		// Runtime gauges.
 		"stableleader_timer_wheel_entries",
 		"stableleader_groups_joined",
@@ -218,6 +221,12 @@ func TestObservabilityPlaneEndToEnd(t *testing.T) {
 	}
 	if v := metricValue(body, "stableleader_fd_heartbeats_total"); v < 1 {
 		t.Errorf("fd_heartbeats = %v, want >= 1", v)
+	}
+	// Every timer-driver fire is served by one loop wake-up, and inbound
+	// datagrams wake the loop too.
+	fires := metricValue(body, "stableleader_timer_driver_fires_total")
+	if wakeups := metricValue(body, "stableleader_loop_wakeups_total"); fires < 1 || wakeups <= fires {
+		t.Errorf("loop wake-ups = %v, timer fires = %v; want 1 <= fires < wake-ups", wakeups, fires)
 	}
 	if v := metricValue(body, "stableleader_groups_joined"); v != 2 {
 		t.Errorf("groups_joined = %v, want 2 (obs-e2e and obs-flip)", v)

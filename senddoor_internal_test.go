@@ -6,8 +6,10 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"stableleader/id"
+	"stableleader/internal/outbound"
 	"stableleader/internal/wire"
 	"stableleader/transport"
 )
@@ -109,5 +111,45 @@ func TestOneSendDoor(t *testing.T) {
 	}
 	if len(vectored.got) != len(plain.got) {
 		t.Errorf("vectored transport reached %d destinations, want %d", len(vectored.got), len(plain.got))
+	}
+}
+
+// TestCoalescedSendAllocFree pins the at-rest send path's allocation
+// contract: a heartbeat's worth of messages staged for a peer, flushed as
+// one envelope, marshalled and handed to the transport costs no heap
+// allocation once warm — the staging slice stays with its queue, and the
+// envelope and its slice come back from the send pool when the host
+// releases the datagram.
+func TestCoalescedSendAllocFree(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector; alloc counts are nondeterministic")
+	}
+	s, err := New("self", nullTransport{}, WithSeed(1), WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Crash()
+	sh := s.shards[0]
+	alives := make([]wire.Message, 8)
+	for i := range alives {
+		alives[i] = &wire.Alive{Group: id.Group(fmt.Sprintf("g%d", i)), Sender: "self", Incarnation: 1}
+	}
+	var allocs float64
+	if err := sh.call(context.Background(), func() {
+		out := outbound.New(outbound.Config{Clock: sh.rt, Emit: sh.rt.Send})
+		beat := func() {
+			for _, m := range alives {
+				out.Enqueue("peer", m, time.Millisecond)
+			}
+			out.Flush("peer")
+			sh.rt.flushSends()
+		}
+		beat() // warm: queue, timer, staging slice, pooled envelope and buffer
+		allocs = testing.AllocsPerRun(200, beat)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("one coalesced heartbeat datagram costs %.2f allocations, want 0", allocs)
 	}
 }

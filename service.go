@@ -177,6 +177,7 @@ func New(self id.Process, tr transport.Transport, opts ...Option) (*Service, err
 		// one-shard runs reproduce the historical behavior bit for bit.
 		rt := &serviceRuntime{sh: sh, rng: rand.New(rand.NewSource(seed + int64(i)))}
 		rt.wheel = timerwheel.New(time.Now(), timerwheel.DefaultTick)
+		rt.advanceFn = rt.advance
 		sh.rt = rt
 		nodeOpts := []core.NodeOption{
 			core.WithPacketCounters(&s.counters),
@@ -286,8 +287,10 @@ func (sh *serviceShard) loop() {
 		// staging adds batching without adding latency.
 		select {
 		case fn := <-sh.commands:
+			sh.obs.Inc(obs.CLoopWakeups)
 			fn()
 		case p := <-sh.inbound:
+			sh.obs.Inc(obs.CLoopWakeups)
 			sh.handleInbound(p)
 		case <-sh.svc.closing:
 			// Drain whatever is already queued, then stop. Only this
@@ -755,6 +758,9 @@ type serviceRuntime struct {
 	// advancing suppresses per-callback driver re-arms while Advance
 	// fires a batch of deadlines; the single kick afterwards covers them.
 	advancing bool //leadervet:loopOwned
+	// advanceFn is advance bound once at construction: the driver enqueues
+	// it on every fire, and a method value built there would allocate.
+	advanceFn func()
 
 	// Send staging: marshalled datagrams accumulate here during one loop
 	// wakeup and leave as one vectored send — flushSends runs at the end
@@ -857,13 +863,19 @@ func (r *serviceRuntime) kick() {
 // own shard's event loop (dropped once the service is closing, like any
 // command) — so a timer firing during Close on one shard can neither
 // deadlock nor touch another shard's drain.
+//
+//leadervet:hotpath
 func (r *serviceRuntime) wake() {
-	r.sh.enqueue(r.advance)
+	r.sh.enqueue(r.advanceFn)
 }
 
 // advance moves the wheel to the present, firing due protocol deadlines
 // inline on the loop, then re-arms the driver.
+//
+//leadervet:onLoop
+//leadervet:hotpath
 func (r *serviceRuntime) advance() {
+	r.sh.obs.Inc(obs.CTimerFires)
 	r.armed = time.Time{}
 	r.advancing = true
 	r.wheel.Advance(time.Now())
