@@ -137,8 +137,8 @@ func main() {
 		snap.Derived["status_query_speedup_vs_sync"] = b / a
 	}
 	// Sharded-runtime saturation: measured concurrent throughput per
-	// shard count, plus the modeled aggregate capacity — shards share no
-	// locks, so on a machine with at least N cores the aggregate is N ×
+	// shard count, plus the modeled aggregate capacity — shards take no
+	// lock per message received, so on a machine with at least N cores the aggregate is N ×
 	// the per-shard-slice saturation throughput. The modeled figure is
 	// what the sweep's speedup headline uses: the recording host may have
 	// fewer cores than shards (CI containers often pin one), in which

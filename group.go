@@ -141,8 +141,8 @@ func (g *Group) seedLeader(info LeaderInfo) {
 	g.leader.CompareAndSwap(nil, &leaderView{info: info})
 }
 
-// storeStatus publishes a status snapshot; the rows come from the core's
-// OnStatus hook on the event loop, already sorted and never re-mutated.
+// storeStatus publishes a status snapshot: its own copy of the rows the
+// core's OnStatus hook shows it on the event loop, already sorted.
 func (g *Group) storeStatus(rows []core.MemberStatus) {
 	g.status.Store(&statusView{rows: publicStatusRows(rows)})
 }

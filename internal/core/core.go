@@ -24,6 +24,7 @@ import (
 	"stableleader/id"
 	"stableleader/internal/clock"
 	"stableleader/internal/election"
+	"stableleader/internal/fd"
 	"stableleader/internal/group"
 	"stableleader/internal/linkest"
 	"stableleader/internal/metrics"
@@ -39,7 +40,10 @@ import (
 // simnet.NodeRuntime (virtual time) and the real-time Service adapter.
 type Runtime interface {
 	clock.Clock
-	// Send transmits m to process to. Best effort; may drop silently.
+	// Send transmits m to process to. Best effort; may drop silently. It
+	// is the node's port into the outbound scheduler (see outbound.Port),
+	// called with the destination's queue locked: a host that shares the
+	// scheduler among several nodes stages here and sends afterwards.
 	Send(to id.Process, m wire.Message)
 	// Rand is the node-local random stream (gossip target selection).
 	Rand() *rand.Rand
@@ -120,12 +124,12 @@ type JoinOptions struct {
 	// An empty p means no standby is currently known. Invoked on the
 	// node's event loop.
 	OnStandbyChange func(p id.Process, incarnation int64)
-	// OnStatus, if set, receives a freshly built snapshot of the group's
-	// complete membership/FD status (the rows Node.Status would return)
-	// whenever it changes: membership deltas, trust edges and QoS
-	// reconfigurations. The slice is never mutated after the call —
-	// hosts publish it copy-on-write to lock-free readers. Invoked on
-	// the node's event loop.
+	// OnStatus, if set, is shown the group's complete membership/FD
+	// status (the rows Node.Status would return) whenever it changes:
+	// membership deltas, trust edges and QoS reconfigurations. The slice
+	// is the node's own and valid only during the call — hosts copy it
+	// into the snapshot they publish to lock-free readers. Invoked on the
+	// node's event loop.
 	OnStatus func([]MemberStatus)
 	// HelloInterval is the group maintenance gossip period (default 1s).
 	HelloInterval time.Duration
@@ -164,21 +168,20 @@ func (o JoinOptions) withDefaults() JoinOptions {
 	return o
 }
 
-// estEntry is a per-remote link estimator shared across the node's groups
-// (the cost-sharing architecture of Section 4).
-type estEntry struct {
-	est *linkest.Estimator
-	inc int64
-}
-
 // Node is one process's service instance.
 type Node struct {
 	self   id.Process
 	inc    int64
 	rt     Runtime
 	groups map[id.Group]*groupState
-	est    map[id.Process]*estEntry
-	out    *outbound.Scheduler
+	// est holds the per-remote link estimators, each shared across the
+	// node's groups (the cost-sharing architecture of Section 4) and
+	// feeding the estimate the process's other nodes feed too.
+	est map[id.Process]*linkest.Estimator
+	// shared is what this node has in common with the other nodes of its
+	// process, if any; out is its port into the shared outbound scheduler.
+	shared *Shared
+	out    *outbound.Port
 	pacers map[id.Process]*pacer
 	// subs is the client-plane subscriber registry; nil unless the node
 	// was built with WithClientPlane.
@@ -194,6 +197,7 @@ type Node struct {
 type nodeConfig struct {
 	coalesce    bool
 	counters    *metrics.PacketCounters
+	shared      *Shared
 	clientPlane bool
 	clientCfg   subs.Config
 	incarnation int64
@@ -214,6 +218,30 @@ func WithCoalescing(enabled bool) NodeOption {
 // reports datagram/batch/coalescing accounting to.
 func WithPacketCounters(pc *metrics.PacketCounters) NodeOption {
 	return func(c *nodeConfig) { c.counters = pc }
+}
+
+// Shared is what the Nodes of one process hold in common. A sharded host
+// runs one Node per event loop, but to its peers it is one process: what it
+// owes a peer at one instant should leave as one datagram, and what it
+// knows of the link from a peer — and asks of that peer — should not depend
+// on which loop a group landed on. A Node built without WithShared gets a
+// Shared of its own. The zero value is ready once Out is set.
+type Shared struct {
+	// Out is the process's outbound scheduler; each Node attaches its
+	// runtime as one port.
+	Out *outbound.Scheduler
+	// Links is where the Nodes' link estimators share one estimate per
+	// remote process.
+	Links linkest.Pool
+	// Rates is where their monitors agree on the interval to ask of one.
+	Rates fd.Rates
+}
+
+// WithShared makes the node one of several serving the same process; the
+// host builds Out, so WithCoalescing and WithPacketCounters (which shape a
+// lone node's private scheduler) do not apply.
+func WithShared(s *Shared) NodeOption {
+	return func(c *nodeConfig) { c.shared = s }
 }
 
 // WithIncarnation fixes the node's incarnation number instead of deriving
@@ -257,6 +285,9 @@ func NewNode(self id.Process, rt Runtime, opts ...NodeOption) *Node {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	if cfg.shared == nil {
+		cfg.shared = &Shared{Out: outbound.New(outbound.Config{Counters: cfg.counters, Disabled: !cfg.coalesce})}
+	}
 	inc := cfg.incarnation
 	if inc == 0 {
 		inc = rt.Now().UnixNano()
@@ -266,16 +297,12 @@ func NewNode(self id.Process, rt Runtime, opts ...NodeOption) *Node {
 		inc:    inc,
 		rt:     rt,
 		groups: make(map[id.Group]*groupState),
-		est:    make(map[id.Process]*estEntry),
+		est:    make(map[id.Process]*linkest.Estimator),
 		pacers: make(map[id.Process]*pacer),
+		shared: cfg.shared,
 		obs:    cfg.obs,
 	}
-	n.out = outbound.New(outbound.Config{
-		Clock:    rt,
-		Emit:     rt.Send,
-		Counters: cfg.counters,
-		Disabled: !cfg.coalesce,
-	})
+	n.out = cfg.shared.Out.Port(rt, rt.Send)
 	if cfg.clientPlane {
 		sc := cfg.clientCfg
 		sc.Self = self
@@ -322,11 +349,9 @@ func (n *Node) ClientStats() (st subs.Stats, ok bool) {
 
 // OutboundStaged reports the outbound scheduler's current staging
 // depth: messages waiting in coalescing envelopes, and across how many
-// destinations. Loop-owned like the scheduler itself — hosts read it
-// from the owning event loop at scrape time.
-//
-//leadervet:onLoop
-func (n *Node) OutboundStaged() (msgs, dests int) { return n.out.Staged() }
+// destinations — of every node sharing the scheduler, when the host
+// injected one.
+func (n *Node) OutboundStaged() (msgs, dests int) { return n.shared.Out.Staged() }
 
 // Self returns the local process id.
 func (n *Node) Self() id.Process { return n.self }
@@ -349,14 +374,11 @@ func (n *Node) Groups() []id.Group {
 func (n *Node) estimatorFor(p id.Process, inc int64) *linkest.Estimator {
 	e := n.est[p]
 	if e == nil {
-		e = &estEntry{est: linkest.New(), inc: inc}
+		e = n.shared.Links.New(p)
 		n.est[p] = e
 	}
-	if inc > e.inc {
-		e.est.Reset()
-		e.inc = inc
-	}
-	return e.est
+	e.ResetFor(inc)
+	return e
 }
 
 // Join enters group g with the given options and starts electing a leader.
@@ -456,7 +478,7 @@ func (n *Node) Status(g id.Group) ([]MemberStatus, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotJoined, g)
 	}
-	return gs.statusRows(), nil
+	return gs.appendStatusRows(nil), nil
 }
 
 // Stop halts the node abruptly (crash semantics: no LEAVE is sent, staged

@@ -106,6 +106,16 @@ type groupState struct {
 	membersVersion uint64
 	membersValid   bool
 
+	// helloCache is the HELLO for table version helloVersion: a HELLO is
+	// immutable once built, so every gossip round and greeting between two
+	// table changes shares one. gossipPeers and statusScratch are the
+	// gossip round's and the status snapshot's working slices, kept so the
+	// periodic duties allocate nothing.
+	helloCache    *wire.Hello    //leadervet:loopOwned
+	helloVersion  uint64         //leadervet:loopOwned
+	gossipPeers   []id.Process   //leadervet:loopOwned
+	statusScratch []MemberStatus //leadervet:loopOwned
+
 	helloTimer clock.Rearmer
 	joinTimer  clock.Rearmer
 	joinsLeft  int
@@ -258,16 +268,15 @@ func (gs *groupState) sendAliveTo(dest id.Process, ds *destState) {
 	}
 	ds.seq++
 	ds.lastSent = gs.n.rt.Now()
-	m := &wire.Alive{
-		Group:       gs.gid,
-		Sender:      gs.n.self,
-		Incarnation: gs.n.inc,
-		Seq:         ds.seq,
-		SendTime:    gs.n.rt.Now().UnixNano(),
-		Interval:    int64(gs.intervalFor(ds)),
-	}
+	m := wire.GetAlive()
+	m.Group = gs.gid
+	m.Sender = gs.n.self
+	m.Incarnation = gs.n.inc
+	m.Seq = ds.seq
+	m.SendTime = ds.lastSent.UnixNano()
+	m.Interval = int64(gs.intervalFor(ds))
 	gs.algo.FillAlive(m)
-	gs.n.sendLazy(dest, m)
+	gs.n.sendLazy(dest, m) //leadervet:handoff — the host's send path releases it
 }
 
 // standbyToAnnounce returns the STANDBY announcement due for a heartbeat
@@ -403,6 +412,7 @@ func (gs *groupState) newMonitor(p id.Process, inc int64) *monitorEntry {
 			gs.publishStatus()
 		},
 		ReconfigureInterval: gs.opts.ReconfigureInterval,
+		Rate:                gs.n.shared.Rates.For(p, gs.opts.QoS),
 		Obs:                 gs.n.obs,
 	})
 	return entry
@@ -454,10 +464,17 @@ func (gs *groupState) announceJoin() {
 }
 
 // scheduleHello arms the next gossip round with jitter so rounds desync
-// across the group.
+// across the group — in eighths of the gossip period, on the beat grid, so
+// that the rounds of a node's many groups share wake-ups (and, toward a
+// peer it sends no heartbeats, datagrams: an eighth is how long such a
+// HELLO waits for company anyway). Rounding to the nearest slot keeps the
+// mean period.
 func (gs *groupState) scheduleHello() {
 	jitter := 0.75 + 0.5*gs.n.rt.Rand().Float64()
-	gs.helloTimer.Reset(time.Duration(float64(gs.opts.HelloInterval) * jitter))
+	slot := gs.opts.HelloInterval / 8
+	now := gs.n.rt.Now()
+	at := now.Add(time.Duration(float64(gs.opts.HelloInterval)*jitter) - slot/2)
+	gs.helloTimer.Reset(clock.NextBeat(at, slot).Sub(now))
 }
 
 // helloTick is one gossip round; it re-arms itself. The round also
@@ -473,13 +490,16 @@ func (gs *groupState) helloTick() {
 }
 
 // gossip sends the membership table to a few random members.
+//
+//leadervet:onLoop
 func (gs *groupState) gossip() {
-	peers := make([]id.Process, 0, gs.table.Len())
-	for _, m := range gs.table.Active() {
+	peers := gs.gossipPeers[:0]
+	for _, m := range gs.Members() {
 		if m.ID != gs.n.self {
 			peers = append(peers, m.ID)
 		}
 	}
+	gs.gossipPeers = peers
 	if len(peers) == 0 {
 		return
 	}
@@ -489,16 +509,21 @@ func (gs *groupState) gossip() {
 	if k > len(peers) {
 		k = len(peers)
 	}
-	// One table for the round: a HELLO is immutable once built, so its
-	// targets share it like the targets of a JOIN do.
 	hello := gs.hello()
 	for _, p := range peers[:k] {
 		gs.n.sendBackground(p, hello, gs.opts.HelloInterval)
 	}
 }
 
-// hello builds a HELLO carrying our full membership table.
+// hello returns the HELLO carrying our full membership table, built once
+// per table version: it is immutable, so its targets — and every round
+// until the table changes — share it like the targets of a JOIN do.
+//
+//leadervet:onLoop
 func (gs *groupState) hello() *wire.Hello {
+	if gs.helloCache != nil && gs.helloVersion == gs.table.Version() {
+		return gs.helloCache
+	}
 	rows := gs.table.Snapshot()
 	members := make([]wire.MemberInfo, len(rows))
 	for i, r := range rows {
@@ -509,12 +534,14 @@ func (gs *groupState) hello() *wire.Hello {
 			Left:        r.Left,
 		}
 	}
-	return &wire.Hello{
+	gs.helloCache = &wire.Hello{
 		Group:       gs.gid,
 		Sender:      gs.n.self,
 		Incarnation: gs.n.inc,
 		Members:     members,
 	}
+	gs.helloVersion = gs.table.Version()
+	return gs.helloCache
 }
 
 // --- message handlers -----------------------------------------------------
@@ -629,11 +656,7 @@ func (gs *groupState) handleRate(m *wire.Rate) {
 	}
 	ds.interval = interval
 	if gs.active {
-		// Re-anchor to the last heartbeat actually sent: re-arming from
-		// "now" would silently stretch the gap on every rate change, and a
-		// monitor repeating its RATE could otherwise starve the very
-		// stream it is trying to speed up.
-		gs.n.retimeStream(gs.gid, m.Sender, ds.lastSent.Add(interval))
+		gs.n.retimeStream(gs.gid, m.Sender)
 	}
 }
 
@@ -732,12 +755,10 @@ func (gs *groupState) reportMembershipDelta() {
 
 // --- leadership notification ----------------------------------------------
 
-// statusRows builds the group's membership/FD status, sorted by member
-// id: the rows behind Node.Status and the OnStatus snapshots.
-func (gs *groupState) statusRows() []MemberStatus {
-	members := gs.table.Active()
-	out := make([]MemberStatus, 0, len(members))
-	for _, m := range members {
+// appendStatusRows appends the group's membership/FD status, sorted by
+// member id: the rows behind Node.Status and the OnStatus snapshots.
+func (gs *groupState) appendStatusRows(out []MemberStatus) []MemberStatus {
+	for _, m := range gs.Members() {
 		st := MemberStatus{
 			ID:          m.ID,
 			Incarnation: m.Incarnation,
@@ -755,15 +776,18 @@ func (gs *groupState) statusRows() []MemberStatus {
 	return out
 }
 
-// publishStatus hands the host a fresh status snapshot. Called at every
+// publishStatus shows the host the current status rows. Called at every
 // status-visible edge — membership deltas, trust edges, reconfigurations
-// — never per heartbeat, so the O(members) copy prices the rare event,
-// not the steady state.
+// — never per heartbeat; the rows are built in place, so the one copy an
+// edge costs is the host's.
+//
+//leadervet:onLoop
 func (gs *groupState) publishStatus() {
 	if gs.stopped || gs.opts.OnStatus == nil {
 		return
 	}
-	gs.opts.OnStatus(gs.statusRows())
+	gs.statusScratch = gs.appendStatusRows(gs.statusScratch[:0])
+	gs.opts.OnStatus(gs.statusScratch)
 }
 
 // currentInfo derives the LeaderInfo from the algorithm's present answer.

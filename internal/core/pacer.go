@@ -15,12 +15,13 @@ import (
 // heartbeats into one datagram.
 const maxCoalesceDelay = 2 * time.Millisecond
 
-// pacer aligns the heartbeat streams of every group toward one destination
-// so that a node in G groups wakes once per interval and emits all G ALIVEs
-// back to back — which the outbound scheduler then coalesces into a single
-// datagram. This replaces the per-(group, destination) timers the node used
-// to run: one timer per peer instead of one per stream, the timer-side half
-// of the paper's shared-infrastructure argument.
+// pacer is the heartbeat schedule toward one destination: one timer per
+// peer instead of one per (group, peer) stream, the timer-side half of the
+// paper's shared-infrastructure argument. Streams come due on the beat grid
+// (clock.NextBeat), so a node in G groups wakes once per period and emits
+// all G ALIVEs toward the peer back to back, which the outbound scheduler
+// coalesces into one datagram — and since the grid is the same for every
+// pacer, that one wake-up serves every peer.
 type pacer struct {
 	n    *Node
 	dest id.Process
@@ -53,18 +54,14 @@ func (n *Node) pacerFor(dest id.Process) *pacer {
 }
 
 // registerStream starts gs's heartbeat stream toward dest: an immediate
-// greeting (election rounds must not wait a full interval) and then paced
-// sends. A new stream adopts the pacer's existing phase when that phase is
-// earlier than its own natural one, so equal-interval streams converge onto
-// one wake-up — sending early is always safe (a heartbeat is stamped with
-// its interval, so an early one is simply fresher at the receiver).
+// greeting (election rounds must not wait a full interval) and then sends
+// on the beat grid. The first beat comes up to an interval early, which is
+// always safe: a heartbeat is stamped with its interval, so an early one is
+// simply fresher at the receiver.
 func (n *Node) registerStream(gs *groupState, dest id.Process, ds *destState) {
 	pp := n.pacerFor(dest)
 	gs.sendAliveTo(dest, ds)
-	due := n.rt.Now().Add(gs.intervalFor(ds))
-	if e, ok := pp.earliest(); ok && e.Before(due) {
-		due = e
-	}
+	due := clock.NextBeat(n.rt.Now(), gs.intervalFor(ds))
 	i, _ := pp.find(gs.gid)
 	pp.streams = slices.Insert(pp.streams, i, &hbStream{gs: gs, ds: ds, due: due})
 	pp.refresh()
@@ -94,10 +91,12 @@ func (n *Node) dropStream(gid id.Group, dest id.Process) {
 	pp.rearm()
 }
 
-// retimeStream moves gid's stream toward dest to a new due time (a RATE
-// request changed the interval; the next heartbeat is re-anchored to the
-// last one actually sent, so repeated RATEs cannot starve the stream).
-func (n *Node) retimeStream(gid id.Group, dest id.Process, due time.Time) {
+// retimeStream puts gid's stream toward dest on the grid of its new
+// interval (a RATE request changed it). The next heartbeat is the first
+// beat after the last one actually sent: re-anchoring to "now" would
+// silently stretch the gap on every rate change, and a monitor repeating
+// its RATE could starve the very stream it is trying to speed up.
+func (n *Node) retimeStream(gid id.Group, dest id.Process) {
 	pp := n.pacers[dest]
 	if pp == nil {
 		return
@@ -106,7 +105,8 @@ func (n *Node) retimeStream(gid id.Group, dest id.Process, due time.Time) {
 	if !ok {
 		return
 	}
-	pp.streams[i].due = due
+	st := pp.streams[i]
+	st.due = clock.NextBeat(st.ds.lastSent, st.gs.intervalFor(st.ds))
 	pp.refresh()
 	pp.rearm()
 }
@@ -178,10 +178,8 @@ func (pp *pacer) tick() {
 	pp.fire()
 }
 
-// fire sends every stream due now — including streams due within a quarter
-// interval, pulled forward so they share the wake-up and the datagram. The
-// early-send slack costs at most a third more heartbeats on a stream in the
-// worst case and is what keeps unequal phases from persisting forever.
+// fire sends every stream due now and puts it back on the grid. A wake-up
+// that comes late sends once and skips the beats it missed.
 //
 //leadervet:hotpath
 func (pp *pacer) fire() {
@@ -190,12 +188,11 @@ func (pp *pacer) fire() {
 		if st.gs.stopped || !st.gs.active {
 			continue // unregistration is in flight; do not send
 		}
-		iv := st.gs.intervalFor(st.ds)
-		if st.due.After(now.Add(iv / 4)) {
+		if st.due.After(now) {
 			continue
 		}
 		st.gs.sendAliveTo(pp.dest, st.ds)
-		st.due = now.Add(iv)
+		st.due = clock.NextBeat(now, st.gs.intervalFor(st.ds))
 	}
 	pp.rearm()
 }

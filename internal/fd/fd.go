@@ -14,8 +14,10 @@
 package fd
 
 import (
+	"sync"
 	"time"
 
+	"stableleader/id"
 	"stableleader/internal/clock"
 	"stableleader/internal/linkest"
 	"stableleader/internal/obs"
@@ -27,8 +29,9 @@ import (
 const DefaultReconfigureInterval = time.Second
 
 // rateChangeThreshold is the relative change in the computed heartbeat
-// interval that triggers a new RATE request to the sender; smaller drifts
-// are absorbed silently to avoid RATE chatter.
+// interval that moves the agreed one (see Rate) and so triggers new RATE
+// requests to the sender; smaller drifts are absorbed silently to avoid
+// RATE chatter.
 const rateChangeThreshold = 0.10
 
 // Config assembles a Monitor's dependencies.
@@ -52,10 +55,74 @@ type Config struct {
 	OnReconfigure func(params qos.Params)
 	// ReconfigureInterval overrides DefaultReconfigureInterval when positive.
 	ReconfigureInterval time.Duration
+	// Rate, when set, is the interval agreement this monitor shares with
+	// every other monitor its process runs on the same remote process at
+	// the same Spec (see Rates); a monitor given none agrees with itself.
+	Rate *Rate
 	// Obs, when set, receives the monitor's counters (heartbeats
 	// observed, reconfigurations adopted) on the owning event loop.
 	// Every obs.Shard method is nil-safe, so the zero Config is fine.
 	Obs *obs.Shard
+}
+
+// Rate is the heartbeat interval one process asks of one remote process
+// at one QoS spec, agreed among all the monitors that share it. Each
+// monitor computes its own η from the link estimate as it stands at its
+// own reconfiguration, and estimates a hair apart land on different
+// points of the configurator's grid; a sender asked for different
+// intervals by the groups of one peer beats for them at different
+// instants and can never share a datagram between them. So the RATE
+// hysteresis lives here rather than in each monitor: the standing interval
+// moves only when some monitor's fresh η drifts from it by more than
+// rateChangeThreshold, and every monitor asks for exactly the standing
+// one. The monitors sharing a Rate judge the same link by the same
+// estimate (linkest.Pool), so their η differ by a grid step at most, never
+// for long by more than the threshold: nothing here arbitrates between
+// lasting disagreement. Safe for concurrent use; touched once per monitor
+// per reconfiguration, never per heartbeat.
+type Rate struct {
+	mu    sync.Mutex
+	asked time.Duration // guarded by mu
+}
+
+// agree folds one monitor's freshly computed interval into the agreement
+// and returns the interval to ask for.
+func (r *Rate) agree(want time.Duration) time.Duration {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.asked <= 0 || relativeDiff(want, r.asked) > rateChangeThreshold {
+		r.asked = want
+	}
+	return r.asked
+}
+
+// Rates hands out the Rate of each (remote process, spec) pair. One Rates
+// serves every monitor of a process: a host running several protocol nodes
+// (one per shard) shares it among them. The zero value is ready to use.
+type Rates struct {
+	mu sync.Mutex
+	m  map[rateKey]*Rate // guarded by mu
+}
+
+type rateKey struct {
+	p    id.Process
+	spec qos.Spec
+}
+
+// For returns the Rate monitors of p at spec share.
+func (rs *Rates) For(p id.Process, spec qos.Spec) *Rate {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	k := rateKey{p, spec}
+	r := rs.m[k]
+	if r == nil {
+		if rs.m == nil {
+			rs.m = make(map[rateKey]*Rate)
+		}
+		r = new(Rate)
+		rs.m[k] = r
+	}
+	return r
 }
 
 // Monitor is the per-(group, remote process) failure detector state.
@@ -96,13 +163,25 @@ func NewMonitor(cfg Config) *Monitor {
 	if cfg.ReconfigureInterval <= 0 {
 		cfg.ReconfigureInterval = DefaultReconfigureInterval
 	}
+	if cfg.Rate == nil {
+		cfg.Rate = new(Rate)
+	}
 	m := &Monitor{cfg: cfg}
 	m.deadlineTimer = clock.NewTimer(cfg.Clock, m.expire)
 	m.reconfTimer = clock.NewTimer(cfg.Clock, m.reconfTick)
 	m.params = qos.Configure(cfg.Spec, statsOf(cfg.Estimator))
-	m.request(m.params.Interval)
-	m.reconfTimer.Reset(m.cfg.ReconfigureInterval)
+	m.request(cfg.Rate.agree(m.params.Interval))
+	m.armReconf()
 	return m
+}
+
+// armReconf schedules the next configurator run on the beat grid: whole
+// multiples of ReconfigureInterval, so every monitor of a loop — whenever
+// it was created — reconfigures in the same wake-up, the one a heartbeat
+// beat falls on whenever η divides the interval.
+func (m *Monitor) armReconf() {
+	now := m.cfg.Clock.Now()
+	m.reconfTimer.Reset(clock.NextBeat(now, m.cfg.ReconfigureInterval).Sub(now))
 }
 
 // request records want as the interval asked of the sender and issues the
@@ -194,11 +273,11 @@ func (m *Monitor) reconfTick() {
 		return
 	}
 	m.reconfigure()
-	m.reconfTimer.Reset(m.cfg.ReconfigureInterval)
+	m.armReconf()
 }
 
 // reconfigure recomputes (η, δ) from the latest link estimate and requests
-// a new heartbeat rate when it changed materially — or when a heartbeat
+// a new heartbeat rate when the agreed one moved — or when a heartbeat
 // seen since the previous request shows the sender not honouring it (the
 // RATE was lost on an unreliable link, or the sender restarted or resumed
 // competing at its default).
@@ -211,13 +290,9 @@ func (m *Monitor) reconfigure() {
 			m.cfg.OnReconfigure(m.params)
 		}
 	}
-	want := m.params.Interval
-	if m.requested <= 0 {
-		m.requested = want
-	}
-	changed := relativeDiff(want, m.requested) > rateChangeThreshold
+	want := m.cfg.Rate.agree(m.params.Interval)
 	ignored := m.observed > 0 && relativeDiff(m.observed, m.requested) > rateChangeThreshold
-	if changed || ignored {
+	if want != m.requested || ignored {
 		m.request(want)
 	}
 }

@@ -270,3 +270,98 @@ func TestSilentSenderIsNotAskedAgain(t *testing.T) {
 		t.Fatalf("resumed sender at the wrong interval drew %d requests in one period, want 1", len(h.rates)-asked)
 	}
 }
+
+// TestMonitorsOfOnePeerAgreeOnTheRate: two monitors of one remote process
+// — two groups, or two shards of a host — whose link estimates put them a
+// grid step apart ask for one interval, the standing one, and when the
+// link changes for good they move together.
+func TestMonitorsOfOnePeerAgreeOnTheRate(t *testing.T) {
+	eng := simnet.NewEngine(1)
+	var rates Rates
+	type mon struct {
+		est   *linkest.Estimator
+		m     *Monitor
+		asked []time.Duration
+	}
+	start := func(delay time.Duration) *mon {
+		mo := &mon{est: linkest.New()}
+		for seq := uint64(1); seq <= 100; seq++ {
+			mo.est.Observe("g", seq, delay)
+		}
+		mo.m = NewMonitor(Config{
+			Clock: clockAdapter{eng}, Spec: qos.Default(), Estimator: mo.est,
+			Rate:        rates.For("p", qos.Default()),
+			RequestRate: func(iv time.Duration) { mo.asked = append(mo.asked, iv) },
+		})
+		return mo
+	}
+	last := func(mo *mon) time.Duration { return mo.asked[len(mo.asked)-1] }
+
+	a := start(70 * time.Millisecond)
+	b := start(80 * time.Millisecond)
+	if a.m.Params().Interval == b.m.Params().Interval {
+		t.Fatalf("the two estimates configure the same η %v; the test needs them a step apart", a.m.Params().Interval)
+	}
+	eng.RunFor(3 * DefaultReconfigureInterval)
+	if last(a) != last(b) {
+		t.Errorf("monitors of one peer ask for %v and %v", last(a), last(b))
+	}
+	if len(a.asked) != 1 || len(b.asked) != 1 {
+		t.Errorf("a hair's difference drew repeated requests: %v, %v", a.asked, b.asked)
+	}
+	if other := rates.For("q", qos.Default()); other == rates.For("p", qos.Default()) {
+		t.Error("two peers share one Rate")
+	}
+
+	// The link gets much slower for both: the agreement follows the first
+	// monitor to notice, and both ask again, for the same interval.
+	for seq := uint64(101); seq <= 1500; seq++ {
+		a.est.Observe("g", seq, 300*time.Millisecond)
+		b.est.Observe("g", seq, 310*time.Millisecond)
+	}
+	eng.RunFor(DefaultReconfigureInterval)
+	if len(a.asked) != 2 || len(b.asked) != 2 || last(a) != last(b) {
+		t.Errorf("after the link slowed the monitors asked %v and %v, want one new common interval", a.asked, b.asked)
+	}
+	if relativeDiff(last(a), a.asked[0]) <= rateChangeThreshold {
+		t.Errorf("the new interval %v is within the hysteresis of the old %v; the test needs a real change", last(a), a.asked[0])
+	}
+}
+
+// TestReconfigurationsShareTheBeat: monitors created at unrelated instants
+// run their configurator at the same instants, whole multiples of the
+// reconfigure interval.
+func TestReconfigurationsShareTheBeat(t *testing.T) {
+	eng := simnet.NewEngine(1)
+	est := linkest.New()
+	// A link that keeps getting slower moves the parameters at every
+	// configurator run, which makes every run visible.
+	var seq uint64
+	var worsen func()
+	worsen = func() {
+		seq++
+		est.Observe("g", seq, time.Duration(seq)*5*time.Millisecond)
+		eng.After(50*time.Millisecond, worsen)
+	}
+	worsen()
+	runs := map[int][]time.Time{}
+	for i := 0; i < 3; i++ {
+		i := i
+		NewMonitor(Config{
+			Clock: clockAdapter{eng}, Spec: qos.Default(), Estimator: est,
+			OnReconfigure: func(qos.Params) { runs[i] = append(runs[i], eng.Now()) },
+		})
+		eng.RunFor(317 * time.Millisecond)
+	}
+	eng.RunFor(10 * time.Second)
+	for i := 0; i < 3; i++ {
+		if len(runs[i]) < 5 {
+			t.Fatalf("monitor %d reconfigured %d times in 10s", i, len(runs[i]))
+		}
+		for _, at := range runs[i] {
+			if off := at.UnixNano() % int64(DefaultReconfigureInterval); off != 0 {
+				t.Fatalf("monitor %d reconfigured %v off the %v grid", i, time.Duration(off), DefaultReconfigureInterval)
+			}
+		}
+	}
+}

@@ -16,6 +16,7 @@ package linkest
 
 import (
 	"math"
+	"sync"
 	"time"
 
 	"stableleader/id"
@@ -61,7 +62,22 @@ func DefaultStats() Stats {
 // (the cost-sharing architecture of Section 4); heartbeat streams of
 // different groups are distinguished by a stream key so sequence gaps are
 // counted per stream.
+//
+// An Estimator is single-threaded like its owner, and its Observe takes no
+// lock: evidence gathers in pend and moves into the link's estimate a batch
+// at a time. Estimators made by one Pool for one remote share that
+// estimate (see Pool); one made by New has it to itself.
 type Estimator struct {
+	link *link
+	// inc is the remote incarnation pend is about (ResetFor).
+	inc  int64
+	pend sums
+	// lastSeq tracks the highest sequence number seen per heartbeat stream.
+	lastSeq map[id.Group]uint64
+}
+
+// sums is evidence about a link: additive, so batches merge by addition.
+type sums struct {
 	// loss accounting (decayed counts).
 	recv float64
 	lost float64
@@ -69,19 +85,78 @@ type Estimator struct {
 	n     float64
 	sum   float64
 	sumSq float64
-	// lastSeq tracks the highest sequence number seen per heartbeat stream.
-	lastSeq map[id.Group]uint64
 }
+
+// link is the estimate of one link: one window and one decay, whoever
+// feeds it.
+type link struct {
+	mu   sync.Mutex
+	inc  int64 // guarded by mu; remote incarnation the evidence is about
+	sums       // guarded by mu
+}
+
+// mergeEvery is how much evidence an estimator gathers before merging it
+// into the link's estimate: often enough for the window's fading memory
+// (and for the loops sharing a link to see each other's evidence), rarely
+// enough that they do not meet on its lock heartbeat by heartbeat.
+const mergeEvery = windowSize / 8
 
 // New returns an empty estimator.
 func New() *Estimator {
-	return &Estimator{lastSeq: make(map[id.Group]uint64)}
+	return &Estimator{link: new(link), lastSeq: make(map[id.Group]uint64)}
 }
 
-// Reset discards all state, e.g. when the remote process restarts with a
-// new incarnation (its sequence numbering restarts too).
+// Pool is a host's link estimates when several event loops (the shards of
+// one process) receive from the same remote processes: each loop has its
+// own Estimator, and those for one remote feed and read one estimate. A
+// loop serving a twelfth of the groups would otherwise judge the link on a
+// twelfth of its heartbeats — a weaker estimate, so a more conservative η
+// — and loops judging one link apart ask its sender for different
+// intervals. The zero value is ready to use; safe for concurrent use.
+type Pool struct {
+	mu    sync.Mutex
+	links map[id.Process]*link // guarded by mu
+}
+
+// New returns a new estimator of the link from remote.
+func (p *Pool) New(remote id.Process) *Estimator {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	l := p.links[remote]
+	if l == nil {
+		if p.links == nil {
+			p.links = make(map[id.Process]*link)
+		}
+		l = new(link)
+		p.links[remote] = l
+	}
+	e := New()
+	e.link = l
+	return e
+}
+
+// Reset discards all state, the link's estimate included.
 func (e *Estimator) Reset() {
-	*e = Estimator{lastSeq: make(map[id.Group]uint64)}
+	e.pend = sums{}
+	clear(e.lastSeq)
+	e.link.mu.Lock()
+	e.link.sums = sums{}
+	e.link.mu.Unlock()
+}
+
+// ResetFor discards what this estimator knows of earlier incarnations of
+// the remote process (its sequence numbering restarts with it), and the
+// link's estimate unless that is already about incarnation inc: of the
+// loops sharing it, the first to hear of a restart resets it, and the
+// others do not discard what arrived since.
+func (e *Estimator) ResetFor(inc int64) {
+	if inc <= e.inc {
+		return
+	}
+	e.inc = inc
+	e.pend = sums{}
+	clear(e.lastSeq)
+	e.merge()
 }
 
 // Observe records the arrival of heartbeat seq on the given stream with the
@@ -107,43 +182,68 @@ func (e *Estimator) Observe(stream id.Group, seq uint64, delay time.Duration) {
 		if gap > windowSize/2 {
 			gap = windowSize / 2
 		}
-		e.lost += gap
+		e.pend.lost += gap
 		e.lastSeq[stream] = seq
 	default:
 		// Duplicate or reordered: already accounted as lost; fall through
 		// so the success still improves the loss estimate and the delay
 		// sample is still used.
 	}
-	e.recv++
+	e.pend.recv++
 	d := delay.Seconds()
-	e.n++
-	e.sum += d
-	e.sumSq += d * d
-	e.decay()
+	e.pend.n++
+	e.pend.sum += d
+	e.pend.sumSq += d * d
+	if e.pend.recv+e.pend.lost >= mergeEvery {
+		e.merge()
+	}
+}
+
+// merge moves the pending evidence into the link's estimate — unless a
+// loop sharing the link has since heard of a newer incarnation than this
+// evidence is about — and returns the estimate's evidence.
+func (e *Estimator) merge() sums {
+	l := e.link
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if e.inc > l.inc {
+		l.inc, l.sums = e.inc, sums{}
+	}
+	if e.inc == l.inc {
+		l.recv += e.pend.recv
+		l.lost += e.pend.lost
+		l.n += e.pend.n
+		l.sum += e.pend.sum
+		l.sumSq += e.pend.sumSq
+		l.decay()
+	}
+	e.pend = sums{}
+	return l.sums
 }
 
 // decay halves all accumulators once a window of samples accumulates,
-// giving the estimator an exponentially fading memory.
-func (e *Estimator) decay() {
-	if e.recv+e.lost > windowSize {
-		e.recv /= 2
-		e.lost /= 2
+// giving the estimate an exponentially fading memory.
+func (l *link) decay() {
+	if l.recv+l.lost > windowSize {
+		l.recv /= 2
+		l.lost /= 2
 	}
-	if e.n > windowSize {
-		e.n /= 2
-		e.sum /= 2
-		e.sumSq /= 2
+	if l.n > windowSize {
+		l.n /= 2
+		l.sum /= 2
+		l.sumSq /= 2
 	}
 }
 
 // Snapshot returns the current estimate, falling back to the defaults until
 // minSamples observations have arrived.
 func (e *Estimator) Snapshot() Stats {
-	if e.n < minSamples {
+	s := e.merge()
+	if s.n < minSamples {
 		return DefaultStats()
 	}
-	mean := e.sum / e.n
-	variance := e.sumSq/e.n - mean*mean
+	mean := s.sum / s.n
+	variance := s.sumSq/s.n - mean*mean
 	if variance < 0 {
 		variance = 0
 	}
@@ -153,11 +253,11 @@ func (e *Estimator) Snapshot() Stats {
 	// configurator would instantly relax to its most aggressive parameters
 	// and void the QoS until reality catches up. With a full window of
 	// evidence the two pseudo-counts are negligible (2/2000 = 0.1%).
-	loss := (e.lost + 2) / (e.recv + e.lost + 2)
+	loss := (s.lost + 2) / (s.recv + s.lost + 2)
 	return Stats{
 		Loss:      loss,
 		MeanDelay: time.Duration(mean * float64(time.Second)),
 		StdDelay:  time.Duration(math.Sqrt(variance) * float64(time.Second)),
-		Samples:   e.n,
+		Samples:   s.n,
 	}
 }

@@ -3,8 +3,11 @@ package linkest
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
+
+	"stableleader/id"
 )
 
 func TestDefaultsBeforeEvidence(t *testing.T) {
@@ -191,5 +194,93 @@ func TestLossPriorIsConservative(t *testing.T) {
 	}
 	if s := e.Snapshot(); s.Loss > 0.005 {
 		t.Errorf("Loss = %.4f after 2500 gap-free samples; the prior should have washed out", s.Loss)
+	}
+}
+
+// TestPoolSharesOneEstimate: the estimators a Pool hands out for one
+// remote process each take their own observations and report one estimate
+// — the one a single estimator fed everything would report — reset once
+// per incarnation, while another remote's stays apart.
+func TestPoolSharesOneEstimate(t *testing.T) {
+	var pool Pool
+	a, b := pool.New("p"), pool.New("p")
+	whole := New()
+	for seq := uint64(1); seq <= 300; seq++ {
+		e, stream, delay := a, id.Group("ga"), 2*time.Millisecond
+		if seq%3 == 0 {
+			e, stream, delay = b, "gb", 5*time.Millisecond
+		}
+		if seq%50 == 0 {
+			continue // a loss on whichever stream this was
+		}
+		e.Observe(stream, seq, delay)
+		whole.Observe(stream, seq, delay)
+	}
+	a.Snapshot() // merges what a still holds
+	want := whole.Snapshot()
+	// Sums merged batch by batch round differently from sums taken in
+	// arrival order, so the delays may differ in their last digits.
+	near := func(x, y time.Duration) bool { return (x - y).Abs() < time.Microsecond }
+	if got := b.Snapshot(); got.Loss != want.Loss || got.Samples != want.Samples || !near(got.MeanDelay, want.MeanDelay) || !near(got.StdDelay, want.StdDelay) {
+		t.Errorf("the pooled estimate is %+v, a single estimator fed the same heartbeats reports %+v", got, want)
+	}
+	if got := pool.New("q").Snapshot(); got != DefaultStats() {
+		t.Errorf("another remote's estimator reports %+v, want the defaults", got)
+	}
+	// The first loop to hear of incarnation 7 resets the estimate; the
+	// second, later, must not discard what arrived in between.
+	a.ResetFor(7)
+	for seq := uint64(1); seq <= 20; seq++ {
+		a.Observe("ga", seq, time.Millisecond)
+	}
+	a.Snapshot()
+	b.ResetFor(7)
+	if got := b.Snapshot().Samples; got != 20 {
+		t.Errorf("%v samples after the second loop's reset for the same incarnation, want 20", got)
+	}
+}
+
+// TestSilentStreamsEvidenceFades: a loop whose streams stop (its groups
+// left, leadership moved away) right after a lossy spell leaves its
+// evidence in the shared window, where the other loops' heartbeats fade it.
+func TestSilentStreamsEvidenceFades(t *testing.T) {
+	var pool Pool
+	lossy, clean := pool.New("p"), pool.New("p")
+	for seq := uint64(1); seq <= 800; seq += 2 { // every other heartbeat lost
+		lossy.Observe("ga", seq, time.Millisecond)
+	}
+	if got := lossy.Snapshot().Loss; got < 0.4 {
+		t.Fatalf("Loss = %.3f after a 50 %% lossy spell", got)
+	}
+	for seq := uint64(1); seq <= 8*windowSize; seq++ {
+		clean.Observe("gb", seq, time.Millisecond)
+	}
+	if got := clean.Snapshot().Loss; got > 0.02 {
+		t.Errorf("Loss = %.3f eight windows after the lossy streams went silent, want it faded below 2 %%", got)
+	}
+}
+
+// TestEstimatorsOfOneLinkRace: four goroutines, as the shards of a process
+// do, each observing through its own estimator of one link and taking
+// snapshots (run under -race).
+func TestEstimatorsOfOneLinkRace(t *testing.T) {
+	var pool Pool
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			e := pool.New("p")
+			for seq := uint64(1); seq <= 5000; seq++ {
+				e.Observe("g", seq, time.Duration(i)*time.Millisecond)
+				if seq%100 == 0 {
+					_ = e.Snapshot()
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	if got := pool.New("p").Snapshot(); got.Samples < windowSize/2 || got.Loss > 0.01 {
+		t.Errorf("after 20000 gap-free heartbeats from four loops: %+v", got)
 	}
 }

@@ -222,3 +222,62 @@ func TestFlushAllDrainsEverything(t *testing.T) {
 		t.Errorf("FlushAll order = %v, want sorted by id", []id.Process{h.out[0].to, h.out[1].to})
 	}
 }
+
+// TestPortsShareOneQueue: what two ports stage for one peer leaves as one
+// datagram, in staging order, through the port whose (earlier) deadline
+// fires; the undercut port's timer then finds nothing to do.
+func TestPortsShareOneQueue(t *testing.T) {
+	h := &harness{eng: simnet.NewEngine(1), counters: &metrics.PacketCounters{}}
+	h.sched = New(Config{Counters: h.counters})
+	var via []string
+	port := func(name string) *Port {
+		return h.sched.Port(engClock{h.eng}, func(to id.Process, m wire.Message) {
+			via = append(via, name)
+			h.out = append(h.out, emitted{to, m})
+		})
+	}
+	a, b := port("a"), port("b")
+	a.Enqueue("p", alive("g1", 1), 2*time.Millisecond)
+	b.Enqueue("p", alive("g2", 1), time.Millisecond)
+	a.Enqueue("p", alive("g3", 1), 2*time.Millisecond) // later than the armed deadline: arms nothing
+	h.eng.RunFor(time.Millisecond)
+	if len(h.out) != 1 || via[0] != "b" {
+		t.Fatalf("after 1ms: %d datagrams via %v, want one via b", len(h.out), via)
+	}
+	batch, ok := h.out[0].m.(*wire.Batch)
+	if !ok || len(batch.Msgs) != 3 {
+		t.Fatalf("datagram = %v, want a batch of three", h.out[0].m)
+	}
+	for i, g := range []id.Group{"g1", "g2", "g3"} {
+		if batch.Msgs[i].GroupID() != g {
+			t.Errorf("batch[%d] is %s's, want %s's: staging order lost", i, batch.Msgs[i].GroupID(), g)
+		}
+	}
+	h.eng.RunFor(time.Second) // a's timer, armed for 2ms, fires into an empty queue
+	if len(h.out) != 1 {
+		t.Fatalf("the undercut port's stale timer emitted: %v", h.out[1:])
+	}
+
+	// A port that stops while its timer holds the queue's deadline leaves
+	// the queue for the next enqueue to arm; the last port to stop drops
+	// what is staged.
+	a.Enqueue("p", alive("g1", 2), time.Millisecond)
+	a.Stop()
+	h.eng.RunFor(time.Second)
+	if len(h.out) != 1 {
+		t.Fatalf("a stopped port's timer emitted: %v", h.out[1:])
+	}
+	b.Enqueue("p", alive("g2", 2), time.Millisecond)
+	h.eng.RunFor(time.Millisecond)
+	if len(h.out) != 2 || via[1] != "b" {
+		t.Fatalf("b's enqueue after a stopped: %d datagrams via %v, want a second one via b", len(h.out), via)
+	}
+	if batch, ok := h.out[1].m.(*wire.Batch); !ok || len(batch.Msgs) != 2 {
+		t.Errorf("b carried out %v, want a's staged message and its own", h.out[1].m)
+	}
+	b.Enqueue("p", alive("g2", 3), time.Millisecond)
+	b.Stop()
+	if msgs, _ := h.sched.Staged(); msgs != 0 {
+		t.Errorf("%d messages staged after the last port stopped", msgs)
+	}
+}

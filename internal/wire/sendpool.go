@@ -5,21 +5,21 @@ import "sync"
 // Send-side message pooling.
 //
 // The receive side recycles message structs through each carrier's
-// freelists; the send side needs the mirror for two things: the Batch
-// envelope (and its message slice) every coalesced datagram leaves in — at
-// rest, one per peer per heartbeat — and LeaderSnapshot, the client-plane
-// fan-out payload. A leader-change edge under 10k subscribers builds 10k
-// snapshot structs in one burst, and before pooling that burst dominated
-// the fan-out's allocation profile (BenchmarkFanout: 1001 allocs per
-// 1000-subscriber publication).
+// freelists; the send side needs the mirror for three things: the Alive
+// every heartbeat stream builds per beat, the Batch envelope (and its
+// message slice) every coalesced datagram leaves in — at rest, one per peer
+// per heartbeat — and LeaderSnapshot, the client-plane fan-out payload. A
+// leader-change edge under 10k subscribers builds 10k snapshot structs in
+// one burst, and before pooling that burst dominated the fan-out's
+// allocation profile (BenchmarkFanout: 1001 allocs per 1000-subscriber
+// publication).
 //
 // The contract mirrors the outbound ownership chain: the producer (the
-// subscriber registry, the outbound scheduler) obtains a struct from
-// GetLeaderSnapshot or GetBatch, hands it to the node's send path, and
-// never touches it again; the host that
-// consumes the message — the real-time service, which marshals it into a
-// datagram and drops it — returns it through ReleaseOutbound after the
-// bytes are on the wire. Hosts that retain messages past Send (the
+// pacer, the subscriber registry, the outbound scheduler) obtains a struct
+// from GetAlive, GetLeaderSnapshot or GetBatch, hands it to the node's send
+// path, and never touches it again; the host that consumes the message —
+// the real-time service, which marshals it into a datagram and drops it —
+// returns it through ReleaseOutbound after the bytes are on the wire. Hosts that retain messages past Send (the
 // simulator's in-flight virtual datagrams, test harnesses that inspect
 // traffic) simply never call ReleaseOutbound: the pool misses and the
 // producer allocates, which is correct, just not free.
@@ -31,6 +31,16 @@ var snapshotPool = sync.Pool{New: func() any { return new(LeaderSnapshot) }}
 //leadervet:acquires
 func GetLeaderSnapshot() *LeaderSnapshot {
 	return snapshotPool.Get().(*LeaderSnapshot)
+}
+
+var alivePool = sync.Pool{New: func() any { return new(Alive) }}
+
+// GetAlive returns a zeroed Alive, recycled when the consuming host
+// releases it through ReleaseOutbound.
+//
+//leadervet:acquires
+func GetAlive() *Alive {
+	return alivePool.Get().(*Alive)
 }
 
 var batchPool = sync.Pool{New: func() any { return new(Batch) }}
@@ -45,8 +55,8 @@ func GetBatch() *Batch {
 }
 
 // ReleaseOutbound recycles the pool-managed parts of one emitted datagram:
-// a bare LeaderSnapshot, or a Batch envelope with the LeaderSnapshots it
-// carries. Every other kind is left to the garbage collector — the
+// a bare Alive or LeaderSnapshot, or a Batch envelope with the Alives and
+// LeaderSnapshots it carries. Every other kind is left to the garbage collector — the
 // protocol core builds those rarely and may share slices (HELLO member
 // rows) that must not be recycled out from under a retainer. The caller
 // must own m outright (the outbound scheduler transfers ownership at
@@ -54,18 +64,25 @@ func GetBatch() *Batch {
 //
 //leadervet:releases m
 func ReleaseOutbound(m Message) {
+	if b, ok := m.(*Batch); ok {
+		for _, inner := range b.Msgs {
+			releaseOne(inner)
+		}
+		b.Msgs = kept(b.Msgs)
+		batchPool.Put(b)
+		return
+	}
+	releaseOne(m)
+}
+
+// releaseOne recycles one message that is not an envelope.
+func releaseOne(m Message) {
 	switch t := m.(type) {
+	case *Alive:
+		*t = Alive{}
+		alivePool.Put(t)
 	case *LeaderSnapshot:
 		*t = LeaderSnapshot{}
 		snapshotPool.Put(t)
-	case *Batch:
-		for _, inner := range t.Msgs {
-			if s, ok := inner.(*LeaderSnapshot); ok {
-				*s = LeaderSnapshot{}
-				snapshotPool.Put(s)
-			}
-		}
-		t.Msgs = kept(t.Msgs)
-		batchPool.Put(t)
 	}
 }

@@ -64,17 +64,18 @@ func (s *Service) DumpFlight(ctx context.Context, w io.Writer) error {
 // shardGauges is one shard's point-in-time runtime depth readings,
 // collected in the same loop-serialised closure as the counter snapshot.
 type shardGauges struct {
-	wheel       int // pending timer-wheel entries
-	inbound     int // steered datagram parts queued for the loop
-	stagedMsgs  int // messages staged in the outbound coalescer
-	stagedDests int // destinations with at least one staged message
+	wheel   int // pending timer-wheel entries
+	inbound int // steered datagram parts queued for the loop
 }
 
 // obsScrape is one full scrape: the merged counter/histogram snapshot
-// plus per-shard gauges and the aggregated client-plane state.
+// plus per-shard gauges, the shared outbound scheduler's staging depth and
+// the aggregated client-plane state.
 type obsScrape struct {
 	snap          obs.Snapshot
 	perShard      []shardGauges
+	stagedMsgs    int // messages staged in the outbound coalescer
+	stagedDests   int // destinations with at least one staged message
 	clientEnabled bool
 	clients       int
 	leases        int
@@ -93,7 +94,6 @@ func (s *Service) scrapeObs(ctx context.Context) (obsScrape, error) {
 			snap = sh.obs.Snapshot()
 			g.wheel = sh.rt.wheel.Len()
 			g.inbound = len(sh.inbound)
-			g.stagedMsgs, g.stagedDests = sh.node.OutboundStaged()
 			st, enabled = sh.node.ClientStats()
 		}); err != nil {
 			return obsScrape{}, err
@@ -104,6 +104,7 @@ func (s *Service) scrapeObs(ctx context.Context) (obsScrape, error) {
 		sc.clients += st.Clients
 		sc.leases += st.Leases
 	}
+	sc.stagedMsgs, sc.stagedDests = s.shared.Out.Staged()
 	return sc, nil
 }
 
@@ -155,14 +156,10 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for i, g := range sc.perShard {
 		e.Sample("stableleader_inbound_queue_depth", float64(g.inbound), "shard", strconv.Itoa(i))
 	}
-	e.Gauge("stableleader_outbound_staged_messages", "Messages staged in the outbound coalescer per shard.")
-	for i, g := range sc.perShard {
-		e.Sample("stableleader_outbound_staged_messages", float64(g.stagedMsgs), "shard", strconv.Itoa(i))
-	}
-	e.Gauge("stableleader_outbound_staged_destinations", "Destinations with staged outbound messages per shard.")
-	for i, g := range sc.perShard {
-		e.Sample("stableleader_outbound_staged_destinations", float64(g.stagedDests), "shard", strconv.Itoa(i))
-	}
+	e.Gauge("stableleader_outbound_staged_messages", "Messages staged in the outbound coalescer.")
+	e.Sample("stableleader_outbound_staged_messages", float64(sc.stagedMsgs))
+	e.Gauge("stableleader_outbound_staged_destinations", "Destinations with staged outbound messages.")
+	e.Sample("stableleader_outbound_staged_destinations", float64(sc.stagedDests))
 
 	clientEnabled := 0.0
 	if sc.clientEnabled {

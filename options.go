@@ -68,8 +68,8 @@ func WithSeed(seed int64) Option {
 // (default: one per schedulable CPU, capped at MaxShards). Each shard
 // owns its own event loop, timer wheel, RNG and protocol node, and serves
 // the groups whose ids hash onto it — protocol work for groups on
-// different shards runs in parallel with no cross-shard locking. One
-// shard reproduces the classic single-loop behavior exactly; a group
+// different shards runs in parallel, and what the shards owe one peer
+// still leaves as one datagram. One shard reproduces the classic single-loop behavior exactly; a group
 // never migrates between shards for the life of the service. Values
 // above MaxShards are rejected.
 func WithShards(n int) Option {

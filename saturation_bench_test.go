@@ -12,8 +12,8 @@ package stableleader
 //     true parallel throughput of this machine. On a multi-core host it
 //     rises with N; on a single-core host (CI containers) it cannot.
 //   - BenchmarkSaturationShardSlice/shards=N drives only the groups of
-//     ONE shard of an N-shard service. Because shards share no locks,
-//     total capacity on a machine with ≥ N cores is N × this number —
+//     ONE shard of an N-shard service. Because shards take no lock per
+//     message received, total capacity on a machine with ≥ N cores is N × this number —
 //     the modeled aggregate cmd/perfsnap derives and EXPERIMENTS.md
 //     reports alongside the measured concurrent figures.
 //

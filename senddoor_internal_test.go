@@ -53,9 +53,9 @@ func (r *vectorRecorder) SendVector(_ int, batch []transport.Datagram) (int, err
 // identical datagrams on the wire in identical per-destination order —
 // the Service has one staging path whatever the transport offers.
 func TestOneSendDoor(t *testing.T) {
-	// More datagrams than one staging vector holds, so the script crosses a
-	// mid-arm flush; three destinations interleaved; bare messages and a
-	// batch envelope; a pool-managed snapshot.
+	// More datagrams than one staging vector holds, so the vector grows
+	// for the occasion; three destinations interleaved; bare messages and
+	// a batch envelope; a pool-managed snapshot.
 	script := func(send func(id.Process, wire.Message)) {
 		for i := 0; i < 3*sendVector+5; i++ {
 			to := id.Process(fmt.Sprintf("p%d", i%3))
@@ -86,8 +86,14 @@ func TestOneSendDoor(t *testing.T) {
 		if err := sh.call(context.Background(), func() { script(sh.rt.Send) }); err != nil {
 			t.Fatal(err)
 		}
-		// A second loop round trip: the first call's arm has flushed.
-		if err := sh.call(context.Background(), func() {}); err != nil {
+		// A second loop round trip: the first call's arm has flushed, and
+		// given back what the script's burst grew.
+		if err := sh.call(context.Background(), func() {
+			if len(sh.rt.pend) != 0 || cap(sh.rt.pend) != sendVector || cap(sh.rt.pendBuf) != sendVector {
+				t.Errorf("after the flush the send vector holds %d datagrams in room for %d (buffers %d), want 0 in %d",
+					len(sh.rt.pend), cap(sh.rt.pend), cap(sh.rt.pendBuf), sendVector)
+			}
+		}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Crash(); err != nil {
@@ -115,11 +121,12 @@ func TestOneSendDoor(t *testing.T) {
 }
 
 // TestCoalescedSendAllocFree pins the at-rest send path's allocation
-// contract: a heartbeat's worth of messages staged for a peer, flushed as
-// one envelope, marshalled and handed to the transport costs no heap
-// allocation once warm — the staging slice stays with its queue, and the
-// envelope and its slice come back from the send pool when the host
-// releases the datagram.
+// contract: a heartbeat's worth of messages built for a peer, staged,
+// flushed as one envelope, marshalled and handed to the transport costs no
+// heap allocation once warm — the heartbeats, the envelope and its slice
+// come back from the send pool when the host releases the datagram, and
+// the staging slice stays with its queue. (The pacer's side of a beat is
+// pinned by core's TestPacerBeatAllocFree.)
 func TestCoalescedSendAllocFree(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector; alloc counts are nondeterministic")
@@ -130,21 +137,23 @@ func TestCoalescedSendAllocFree(t *testing.T) {
 	}
 	defer s.Crash()
 	sh := s.shards[0]
-	alives := make([]wire.Message, 8)
-	for i := range alives {
-		alives[i] = &wire.Alive{Group: id.Group(fmt.Sprintf("g%d", i)), Sender: "self", Incarnation: 1}
+	groups := make([]id.Group, 8)
+	for i := range groups {
+		groups[i] = id.Group(fmt.Sprintf("g%d", i))
 	}
 	var allocs float64
 	if err := sh.call(context.Background(), func() {
 		out := outbound.New(outbound.Config{Clock: sh.rt, Emit: sh.rt.Send})
 		beat := func() {
-			for _, m := range alives {
+			for _, g := range groups {
+				m := wire.GetAlive()
+				m.Group, m.Sender, m.Incarnation = g, "self", 1
 				out.Enqueue("peer", m, time.Millisecond)
 			}
 			out.Flush("peer")
 			sh.rt.flushSends()
 		}
-		beat() // warm: queue, timer, staging slice, pooled envelope and buffer
+		beat() // warm: queue, timer, staging slice, pooled messages, envelope and buffer
 		allocs = testing.AllocsPerRun(200, beat)
 	}); err != nil {
 		t.Fatal(err)

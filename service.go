@@ -17,6 +17,7 @@ import (
 	"stableleader/internal/group"
 	"stableleader/internal/metrics"
 	"stableleader/internal/obs"
+	"stableleader/internal/outbound"
 	"stableleader/internal/subs"
 	"stableleader/internal/timerwheel"
 	"stableleader/internal/wire"
@@ -37,11 +38,15 @@ const MaxShards = 64
 // partitioned into shards, each owning one event-loop goroutine, one
 // timer wheel with its own driver, one RNG and one protocol node hosting
 // the groups hashed onto it. Protocol work for groups on different shards
-// runs truly in parallel, with no cross-shard locking anywhere on the hot
-// path; a group never migrates between shards, so within a group every
-// guarantee of the single-loop architecture is preserved verbatim. With
-// one shard (the default on single-core hosts) the service behaves
-// exactly like the classic single-loop build.
+// runs truly in parallel; a group never migrates between shards, so
+// within a group every guarantee of the single-loop architecture is
+// preserved verbatim.
+// The shards meet in one place, on the way out: they share one outbound
+// scheduler, so that what they owe one peer at one instant leaves as one
+// datagram — a per-peer lock, taken only by shards addressing that peer at
+// that instant and never held across a syscall. With one shard (the
+// default on single-core hosts) the service behaves exactly like the
+// classic single-loop build.
 type Service struct {
 	self id.Process
 	tr   transport.Transport
@@ -63,10 +68,16 @@ type Service struct {
 	finished chan struct{} // closed after subscribers and transport are down
 
 	// counters instruments the packet plane; written on the shard loops
-	// (the outbound schedulers, and inbound dispatch — see onDatagram),
+	// (the outbound scheduler, and inbound dispatch — see onDatagram),
 	// snapshot by PacketStats from anywhere. The counters are atomic, so
 	// shards share one set without coordination.
 	counters metrics.PacketCounters
+
+	// shared is what the shards' nodes hold in common, being one process:
+	// the one outbound scheduler (every node a port of it, staging into
+	// per-peer queues all shards share), the link estimates and the
+	// intervals asked of each peer.
+	shared core.Shared
 
 	// obs is the sharded protocol observability registry: one plain-store
 	// slot per shard, written only by the owning loop, aggregated at
@@ -162,6 +173,7 @@ func New(self id.Process, tr transport.Transport, opts ...Option) (*Service, err
 		s.vec = sendLoop{tr}
 	}
 	s.obs = obs.NewRegistry(nshards, obs.FlightDepthDefault)
+	s.shared.Out = outbound.New(outbound.Config{Counters: &s.counters})
 	s.shards = make([]*serviceShard, nshards)
 	for i := range s.shards {
 		sh := &serviceShard{
@@ -175,12 +187,22 @@ func New(self id.Process, tr transport.Transport, opts ...Option) (*Service, err
 		// Per-shard RNG, deterministically derived from the service seed:
 		// shard 0 sees exactly the stream a single-loop service would, so
 		// one-shard runs reproduce the historical behavior bit for bit.
-		rt := &serviceRuntime{sh: sh, rng: rand.New(rand.NewSource(seed + int64(i)))}
-		rt.wheel = timerwheel.New(time.Now(), timerwheel.DefaultTick)
+		rt := &serviceRuntime{
+			sh:      sh,
+			rng:     rand.New(rand.NewSource(seed + int64(i))),
+			pend:    make([]transport.Datagram, 0, sendVector),
+			pendBuf: make([]*[]byte, 0, sendVector),
+		}
+		// Ticks fall on whole wall-clock milliseconds — where the beat grid
+		// puts its deadlines — so every shard's wheel is due at the same
+		// instants and a beat fires on its tick, not up to one tick after.
+		start := time.Now()
+		start = start.Add(-time.Duration(start.UnixNano() % int64(timerwheel.DefaultTick)))
+		rt.wheel = timerwheel.New(start, timerwheel.DefaultTick)
 		rt.advanceFn = rt.advance
 		sh.rt = rt
 		nodeOpts := []core.NodeOption{
-			core.WithPacketCounters(&s.counters),
+			core.WithShared(&s.shared),
 			core.WithIncarnation(s.inc),
 			core.WithObs(sh.obs),
 		}
@@ -330,6 +352,7 @@ func (sh *serviceShard) handleInbound(p inboundPart) {
 	}
 	for _, m := range c.Msgs[p.lo:p.hi] {
 		sh.node.HandleMessage(m)
+		sh.rt.flushIfFull()
 	}
 	c.Release()
 }
@@ -764,17 +787,18 @@ type serviceRuntime struct {
 
 	// Send staging: marshalled datagrams accumulate here during one loop
 	// wakeup and leave as one vectored send — flushSends runs at the end
-	// of every loop arm, or mid-arm when the vector fills. pendBuf keeps
-	// the pooled marshal buffer of each staged payload so the flush can
-	// recycle it.
-	pend    [sendVector]transport.Datagram //leadervet:loopOwned
-	pendBuf [sendVector]*[]byte            //leadervet:loopOwned
-	npend   int                            //leadervet:loopOwned
+	// of every loop arm, and flushIfFull between the handlers of one arm.
+	// pendBuf keeps the pooled marshal buffer of each staged payload so the
+	// flush can recycle it.
+	pend    []transport.Datagram //leadervet:loopOwned
+	pendBuf []*[]byte            //leadervet:loopOwned
 }
 
 // sendVector is the per-shard send staging depth, matching what one
-// sendmmsg comfortably carries; a wakeup producing more simply flushes
-// mid-arm.
+// sendmmsg comfortably carries; a wakeup producing more flushes mid-arm,
+// between two handlers (a single handler that emits more — a departure's
+// goodbyes to thousands of clients — grows the vector for the occasion,
+// and flushSends gives the memory back).
 const sendVector = 32
 
 var _ core.Runtime = (*serviceRuntime)(nil)
@@ -790,7 +814,7 @@ func (r *serviceRuntime) Now() time.Time { return time.Now() }
 //
 //leadervet:onLoop
 func (r *serviceRuntime) AfterFunc(d time.Duration, fn func()) clock.Timer {
-	t := &wheelRearmer{rt: r, e: timerwheel.NewEntry(fn)}
+	t := r.NewTimer(fn)
 	t.Reset(d)
 	return t
 }
@@ -799,14 +823,26 @@ func (r *serviceRuntime) AfterFunc(d time.Duration, fn func()) clock.Timer {
 // allocated once and re-armed in place — the zero-allocation path the
 // failure detector, pacer and outbound scheduler run per heartbeat.
 func (r *serviceRuntime) NewTimer(fn func()) clock.Rearmer {
-	return &wheelRearmer{rt: r, e: timerwheel.NewEntry(fn)}
+	t := &wheelRearmer{rt: r, fn: fn}
+	t.e = timerwheel.NewEntry(t.fire)
+	return t
 }
 
 // wheelRearmer is a clock.Rearmer over a shard wheel. Its methods run
 // on the shard's event loop, like every other wheel operation.
 type wheelRearmer struct {
 	rt *serviceRuntime
+	fn func()
 	e  *timerwheel.Entry
+}
+
+// fire runs the deadline's callback; the return from it is where a tick
+// that fires many deadlines sends a full vector before staging more.
+//
+//leadervet:onLoop
+func (t *wheelRearmer) fire() {
+	t.fn()
+	t.rt.flushIfFull()
 }
 
 //leadervet:onLoop
@@ -916,21 +952,31 @@ func (l sendLoop) SendVector(_ int, batch []transport.Datagram) (sent int, err e
 
 // Send implements core.Runtime. m is a bare message or a *wire.Batch the
 // outbound scheduler flushed; either way it is one datagram, marshalled
-// here and staged for flushSends. Once marshalled the message is dead, so
-// pool-managed kinds (the client plane's fan-out snapshots) are recycled
-// here — the release half of the send pool that keeps a 10k-subscriber
-// fan-out allocation-free.
+// here and staged for flushSends. It runs with the destination's outbound
+// queue locked, so it never sends: the loop does, between handlers. Once
+// marshalled the message is dead, so pool-managed kinds (heartbeats,
+// envelopes, the client plane's fan-out snapshots) are recycled here — the
+// release half of the send pool that keeps a beat, and a 10k-subscriber
+// fan-out, allocation-free.
 //
 //leadervet:onLoop
 //leadervet:hotpath
 func (r *serviceRuntime) Send(to id.Process, m wire.Message) {
 	bp := sendBufPool.Get().(*[]byte)
 	*bp = wire.MarshalAppend((*bp)[:0], m)
-	r.pend[r.npend] = transport.Datagram{To: to, Payload: *bp}
-	r.pendBuf[r.npend] = bp
-	r.npend++
+	r.pend = append(r.pend, transport.Datagram{To: to, Payload: *bp})
+	r.pendBuf = append(r.pendBuf, bp)
 	wire.ReleaseOutbound(m)
-	if r.npend == sendVector {
+}
+
+// flushIfFull sends the staged datagrams once they fill a vector. The
+// loop calls it wherever one handler has returned and the next has not
+// begun, where no outbound lock is held.
+//
+//leadervet:onLoop
+//leadervet:hotpath
+func (r *serviceRuntime) flushIfFull() {
+	if len(r.pend) >= sendVector {
 		r.flushSends()
 	}
 }
@@ -942,21 +988,25 @@ func (r *serviceRuntime) Send(to id.Process, m wire.Message) {
 //
 //leadervet:onLoop
 func (r *serviceRuntime) flushSends() {
-	n := r.npend
-	if n == 0 {
+	if len(r.pend) == 0 {
 		return
 	}
 	// Best effort, like every send of this protocol: a datagram the
 	// transport could not send is one the network lost.
-	_, _ = r.sh.svc.vec.SendVector(r.sh.idx, r.pend[:n])
-	for i := 0; i < n; i++ {
-		bp := r.pendBuf[i]
+	_, _ = r.sh.svc.vec.SendVector(r.sh.idx, r.pend)
+	for i, bp := range r.pendBuf {
 		*bp = (*bp)[:0]
 		sendBufPool.Put(bp)
 		r.pendBuf[i] = nil
 		r.pend[i] = transport.Datagram{}
 	}
-	r.npend = 0
+	r.pend, r.pendBuf = r.pend[:0], r.pendBuf[:0]
+	if cap(r.pend) > sendVector {
+		// One handler outgrew the vector (see sendVector): a rare occasion,
+		// whose memory a shard does not keep for life.
+		r.pend = make([]transport.Datagram, 0, sendVector)
+		r.pendBuf = make([]*[]byte, 0, sendVector)
+	}
 }
 
 // Rand implements core.Runtime.
