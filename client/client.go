@@ -60,18 +60,24 @@ type LeaderLease struct {
 	Expires time.Time
 }
 
-// Client is a remote consumer of the leader election service.
+// Client is a remote consumer of the leader election service. It has no
+// goroutine of its own: its state machine runs on whichever goroutine
+// enters it — a transport receiver with a datagram, a timer fire, the
+// first Leader or Watch of a group, Close — one entry at a time.
 type Client struct {
 	self id.Process
 	tr   transport.Transport
 	node *clientcore.Node
 
-	commands chan func()
-	// inbound carries decoded datagrams from the transport's receiver
-	// goroutines to the loop, each in the pooled carrier that owns its
-	// storage — the service's receive path with a single ring.
-	inbound  chan *wire.Carrier
-	done     chan struct{}
+	// nodeMu serialises every entry into node, and stopped (set under it
+	// by Close) turns every later entry into a no-op. Lock order is mu →
+	// nodeMu → groupView.mu; onUpdate, which runs under nodeMu, never
+	// takes mu.
+	nodeMu  sync.Mutex
+	stopped bool
+
+	// closing is closed when Close is first called, finished once the
+	// shutdown it starts is complete.
 	closing  chan struct{}
 	finished chan struct{}
 
@@ -90,7 +96,7 @@ type Client struct {
 }
 
 // groupView is the client-side read plane for one group: the cached lease
-// (copy-on-write, atomically published from the event loop) plus the
+// (copy-on-write, atomically published by the state machine) plus the
 // Watch subscribers and slow-path waiters.
 type groupView struct {
 	c     *Client
@@ -131,11 +137,6 @@ func New(tr transport.Transport, opts ...Option) (*Client, error) {
 	c := &Client{
 		self:     cfg.self,
 		tr:       tr,
-		commands: make(chan func(), 256),
-		// As deep as commands: a burst of snapshots (one per watched group
-		// on a leader change) queues instead of stalling the receiver.
-		inbound:  make(chan *wire.Carrier, 256),
-		done:     make(chan struct{}),
 		closing:  make(chan struct{}),
 		finished: make(chan struct{}),
 		groups:   make(map[id.Group]*groupView),
@@ -149,73 +150,37 @@ func New(tr transport.Transport, opts ...Option) (*Client, error) {
 		OnUpdate:  c.onUpdate,
 	})
 	tr.Receive(c.onDatagram)
-	go c.loop()
 	return c, nil
 }
 
 // ID returns the client's process id.
 func (c *Client) ID() id.Process { return c.self }
 
-// loop is the event loop: every node entry point funnels through here.
-func (c *Client) loop() {
-	defer close(c.done)
-	for {
-		select {
-		case fn := <-c.commands:
-			fn()
-		case car := <-c.inbound:
-			c.handleInbound(car)
-		case <-c.closing:
-			for {
-				select {
-				case fn := <-c.commands:
-					fn()
-				case car := <-c.inbound:
-					c.handleInbound(car)
-				default:
-					c.node.Stop(true) // graceful: unsubscribe everywhere
-					return
-				}
-			}
-		}
+// locked runs fn on the state machine, unless the client has stopped.
+func (c *Client) locked(fn func()) {
+	c.nodeMu.Lock()
+	defer c.nodeMu.Unlock()
+	if !c.stopped {
+		fn()
 	}
 }
 
-// enqueue schedules fn on the event loop; it drops work once closing.
-func (c *Client) enqueue(fn func()) {
-	select {
-	case c.commands <- fn:
-	case <-c.closing:
-	}
-}
-
-// onDatagram decodes one received datagram into a pooled carrier and
-// hands it to the loop; once closing it is dropped, like any command. The
-// unknown-kind count is discarded: forward traffic is irrelevant to a
-// client.
+// onDatagram decodes one received datagram into a pooled carrier outside
+// the lock, dispatches it to the state machine, and gives its storage
+// back (the state machine copies everything it keeps). The unknown-kind
+// count is discarded: forward traffic is irrelevant to a client.
 //
 //leadervet:hotpath
 func (c *Client) onDatagram(payload []byte) {
 	car := wire.GetCarrier()
-	if _, err := car.Decode(&c.strings, payload); err != nil || len(car.Msgs) == 0 {
-		car.Release()
-		return
-	}
-	select {
-	case c.inbound <- car:
-	case <-c.closing:
-		car.Release()
-	}
-}
-
-// handleInbound dispatches one datagram on the loop and gives its storage
-// back to the carrier (the state machine copies everything it keeps).
-//
-//leadervet:hotpath
-//leadervet:releases car
-func (c *Client) handleInbound(car *wire.Carrier) {
-	for _, m := range car.Msgs {
-		c.node.HandleMessage(m)
+	if _, err := car.Decode(&c.strings, payload); err == nil {
+		c.nodeMu.Lock()
+		if !c.stopped {
+			for _, m := range car.Msgs {
+				c.node.HandleMessage(m)
+			}
+		}
+		c.nodeMu.Unlock()
 	}
 	car.Release()
 }
@@ -233,7 +198,7 @@ func (c *Client) viewFast(g id.Group) *groupView {
 
 // view returns (creating and subscribing if needed) the read plane for g.
 // The lock-free snapshot serves repeat callers; the write lock, the map
-// re-publication and the subscribe command happen only on first touch.
+// re-publication and the subscribe happen only on first touch.
 func (c *Client) view(g id.Group) (*groupView, error) {
 	if gv := c.viewFast(g); gv != nil {
 		return gv, nil
@@ -252,7 +217,7 @@ func (c *Client) view(g id.Group) (*groupView, error) {
 			ro[k] = v
 		}
 		c.viewsRO.Store(&ro)
-		c.enqueue(func() { c.node.Subscribe(g) })
+		c.locked(func() { c.node.Subscribe(g) })
 	}
 	c.mu.Unlock()
 	return gv, nil
@@ -396,7 +361,7 @@ func (gv *groupView) unsubscribe(sub *subscriber) {
 
 // onUpdate is the clientcore hook: it publishes the copy-on-write lease,
 // wakes slow-path waiters on fresh views, and fans Watch events out. It
-// runs on the event loop, one publication at a time.
+// runs under nodeMu, one publication at a time.
 func (c *Client) onUpdate(up clientcore.Update) {
 	gv := c.viewFast(up.Group)
 	if gv == nil {
@@ -468,57 +433,44 @@ func (c *Client) Close(ctx context.Context) error {
 		ctx = context.Background()
 	}
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		select {
-		case <-c.finished:
-			return c.closeErr
-		default:
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		select {
-		case <-c.finished:
-			return c.closeErr
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	c.closed = true
-	views := make([]*groupView, 0, len(c.groups))
-	for _, gv := range c.groups {
-		views = append(views, gv)
+	if !c.closed {
+		c.closed = true
+		close(c.closing)
+		go c.shutdown()
 	}
 	c.mu.Unlock()
-
-	close(c.closing)
-	finish := func() error {
-		<-c.done
-		for _, gv := range views {
-			gv.closeView()
-		}
-		err := c.tr.Close()
-		c.closeErr = err
-		close(c.finished)
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		go finish()
-		return err
+	select { // a finished shutdown answers even a cancelled ctx
+	case <-c.finished:
+		return c.closeErr
+	default:
 	}
 	select {
-	case <-c.done:
-		return finish()
+	case <-c.finished:
+		return c.closeErr
 	case <-ctx.Done():
-		go finish()
 		return ctx.Err()
 	}
 }
 
+// shutdown stops the state machine (unsubscribing everywhere), ends every
+// group's watchers and waiters, and closes the transport.
+func (c *Client) shutdown() {
+	c.locked(func() {
+		c.node.Stop(true)
+		c.stopped = true
+	})
+	if m := c.viewsRO.Load(); m != nil {
+		for _, gv := range *m {
+			gv.closeView()
+		}
+	}
+	c.closeErr = c.tr.Close()
+	close(c.finished)
+}
+
 // clientRuntime adapts the Client to clientcore.Runtime: real clock,
-// timers hopping onto the event loop, transport sends through a pooled
-// marshal buffer.
+// timers that enter the state machine under its lock, transport sends
+// through a pooled marshal buffer.
 type clientRuntime struct {
 	c   *Client
 	rng *rand.Rand
@@ -529,10 +481,10 @@ var _ clientcore.Runtime = (*clientRuntime)(nil)
 // Now implements clock.Clock.
 func (r *clientRuntime) Now() time.Time { return time.Now() }
 
-// AfterFunc implements clock.Clock: the callback hops onto the event loop
-// (dropped once the client is closing, like any command).
+// AfterFunc implements clock.Clock: the callback enters the state machine
+// under its lock (and is dropped once the client has stopped).
 func (r *clientRuntime) AfterFunc(d time.Duration, fn func()) clock.Timer {
-	return time.AfterFunc(d, func() { r.c.enqueue(fn) })
+	return time.AfterFunc(d, func() { r.c.locked(fn) })
 }
 
 // sendBufPool recycles marshal buffers across sends (transports do not
@@ -552,5 +504,5 @@ func (r *clientRuntime) Send(to id.Process, m wire.Message) {
 	sendBufPool.Put(bp)
 }
 
-// Rand implements clientcore.Runtime (used only on the event loop).
+// Rand implements clientcore.Runtime (used only under nodeMu).
 func (r *clientRuntime) Rand() *rand.Rand { return r.rng }

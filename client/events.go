@@ -130,7 +130,7 @@ type subscriber struct {
 	ch chan Event
 }
 
-// offer delivers ev without ever blocking the event loop: when the buffer
+// offer delivers ev without ever blocking the state machine: when the buffer
 // is full the oldest undelivered event is dropped. Only the owning group
 // view's publisher (one goroutine at a time, under its mutex) calls offer.
 func (s *subscriber) offer(ev Event) {

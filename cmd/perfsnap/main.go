@@ -47,7 +47,7 @@ type suite struct {
 // detector's per-heartbeat cost, the timer wheel primitives, the client
 // plane's two hot paths — the client-side cached leader read and the
 // server-side snapshot fan-out per subscriber — and the sharded runtime's
-// saturation sweep (concurrent and per-shard-slice modes).
+// concurrent saturation sweep.
 var suites = []suite{
 	{Pkg: ".", Bench: "LeaderQuery|StatusQuery"},
 	{Pkg: "./internal/fd", Bench: "MonitorObserve"},
@@ -137,27 +137,10 @@ func main() {
 		snap.Derived["status_query_speedup_vs_sync"] = b / a
 	}
 	// Sharded-runtime saturation: measured concurrent throughput per
-	// shard count, plus the modeled aggregate capacity — shards take no
-	// lock per message received, so on a machine with at least N cores the aggregate is N ×
-	// the per-shard-slice saturation throughput. The modeled figure is
-	// what the sweep's speedup headline uses: the recording host may have
-	// fewer cores than shards (CI containers often pin one), in which
-	// case the concurrent figures cannot express the parallelism that the
-	// slice measurements prove is there.
+	// shard count, on however many cores the recording host has.
 	for _, n := range []int{1, 2, 4, 8} {
 		if v := ns[fmt.Sprintf("Saturation/shards=%d", n)]; v > 0 {
 			snap.Derived[fmt.Sprintf("saturation_concurrent_msgs_per_sec_%dshards", n)] = 1e9 / v
-		}
-	}
-	for _, n := range []int{2, 4, 8} {
-		if v := ns[fmt.Sprintf("SaturationShardSlice/shards=%d", n)]; v > 0 {
-			snap.Derived[fmt.Sprintf("saturation_modeled_capacity_msgs_per_sec_%dshards", n)] =
-				float64(n) * 1e9 / v
-		}
-	}
-	if base := ns["Saturation/shards=1"]; base > 0 {
-		if cap8 := snap.Derived["saturation_modeled_capacity_msgs_per_sec_8shards"]; cap8 > 0 {
-			snap.Derived["saturation_speedup_8shards_vs_1"] = cap8 / (1e9 / base)
 		}
 	}
 	// Syscall-batched packet plane: socket-level throughput, batched vs

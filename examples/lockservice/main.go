@@ -2,12 +2,20 @@
 // central coordinator of a replicated application.
 //
 // Three replicas hold a counter. Clients send increments to whichever
-// replica they like; a replica only *applies* increments while it is the
-// group leader, stamping each with its leadership epoch (leader id +
-// incarnation) as a fence. When the leader crashes, the service elects a
-// new one and the application keeps going — the fence shows which writes
-// belonged to which leadership reign, the building block the paper cites
-// for consensus and state machine replication ([12], [13], [16]).
+// replica they like; a replica only *applies* increments while it
+// believes it is the group leader, stamping each with the leader id and
+// incarnation it saw. When the leader crashes, the service elects a new
+// one and the application keeps going — the building block the paper
+// cites for consensus and state machine replication ([12], [13], [16]).
+//
+// The stamp is an audit label, not a fence. Leadership that goes A → B →
+// A within one incarnation of A stamps both of A's reigns alike, and
+// nothing stops two replicas from applying at once while their views
+// disagree: Ω promises that every process eventually agrees on one live
+// leader, not mutual exclusion at every instant. An application that
+// needs exclusion must fence its writes somewhere that orders them (a
+// consensus log, a storage-side epoch check), with the leader only as
+// the proposer.
 //
 //	go run ./examples/lockservice
 package main
@@ -36,7 +44,8 @@ type replica struct {
 	applied []string // audit log: "value@leader/incarnation"
 }
 
-// tryIncrement applies the increment iff this replica currently leads.
+// tryIncrement applies the increment iff this replica's own view names it
+// leader (another replica's view may, for a moment, say the same of itself).
 func (r *replica) tryIncrement(ctx context.Context) (string, bool) {
 	li, err := r.grp.Leader(ctx)
 	if err != nil || !li.Elected || li.Leader != r.name {
@@ -110,10 +119,10 @@ func main() {
 	_ = lost.svc.Crash()
 	delete(replicas, leader)
 
-	fmt.Println("phase 2: writes resume under the new leader (note the fence change)")
+	fmt.Println("phase 2: writes resume under the new leader (note the stamp change)")
 	apply(3)
 
-	fmt.Println("\naudit logs (the fence tells reigns apart):")
+	fmt.Println("\naudit logs (the stamp names the leader each replica saw, not a unique reign):")
 	for name, r := range replicas {
 		r.mu.Lock()
 		fmt.Printf("  %s: %v\n", name, r.applied)

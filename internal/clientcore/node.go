@@ -3,11 +3,11 @@
 // the leader election service over the wire.
 //
 // Mirroring the architecture of internal/core, the state machine is
-// host-agnostic: the public client package drives it from a real-time
-// event loop over UDP or the in-process transport, and the simulator
-// drives whole client populations in virtual time. All entry points —
-// message delivery, timer callbacks, API commands — must be serialised
-// onto one logical event loop by the host.
+// host-agnostic: the public client package drives it in real time over
+// UDP or the in-process transport, and the simulator drives whole client
+// populations in virtual time. All entry points — message delivery, timer
+// callbacks, API commands — must be serialised by the host: the client
+// package takes one mutex per entry, the simulator runs one event loop.
 //
 // Per subscribed group the machine:
 //
@@ -28,7 +28,6 @@ import (
 
 	"stableleader/id"
 	"stableleader/internal/clock"
-	"stableleader/internal/metrics"
 	"stableleader/internal/outbound"
 	"stableleader/internal/wire"
 )
@@ -94,8 +93,6 @@ type Config struct {
 	// OnUpdate, if set, receives every accepted snapshot, staleness edge
 	// and tombstone, on the host's event loop.
 	OnUpdate func(Update)
-	// Counters, when non-nil, receives outbound datagram accounting.
-	Counters *metrics.PacketCounters
 	// DisableCoalescing bypasses the outbound scheduler (ablation).
 	DisableCoalescing bool
 	// NoShuffle keeps Endpoints in the given order instead of spreading
@@ -184,7 +181,6 @@ func NewNode(rt Runtime, cfg Config) *Node {
 	n.out = outbound.New(outbound.Config{
 		Clock:    rt,
 		Emit:     rt.Send,
-		Counters: cfg.Counters,
 		Disabled: cfg.DisableCoalescing,
 	})
 	n.eps = make([]id.Process, len(cfg.Endpoints))

@@ -27,7 +27,6 @@ import (
 	"stableleader/internal/fd"
 	"stableleader/internal/group"
 	"stableleader/internal/linkest"
-	"stableleader/internal/metrics"
 	"stableleader/internal/obs"
 	"stableleader/internal/outbound"
 	"stableleader/internal/subs"
@@ -196,7 +195,6 @@ type Node struct {
 // nodeConfig is the result of applying NodeOptions.
 type nodeConfig struct {
 	coalesce    bool
-	counters    *metrics.PacketCounters
 	shared      *Shared
 	clientPlane bool
 	clientCfg   subs.Config
@@ -212,12 +210,6 @@ type NodeOption func(*nodeConfig)
 // the pre-batching behaviour, kept for ablation experiments.
 func WithCoalescing(enabled bool) NodeOption {
 	return func(c *nodeConfig) { c.coalesce = enabled }
-}
-
-// WithPacketCounters installs the counter set the outbound scheduler
-// reports datagram/batch/coalescing accounting to.
-func WithPacketCounters(pc *metrics.PacketCounters) NodeOption {
-	return func(c *nodeConfig) { c.counters = pc }
 }
 
 // Shared is what the Nodes of one process hold in common. A sharded host
@@ -238,8 +230,8 @@ type Shared struct {
 }
 
 // WithShared makes the node one of several serving the same process; the
-// host builds Out, so WithCoalescing and WithPacketCounters (which shape a
-// lone node's private scheduler) do not apply.
+// host builds Out, so WithCoalescing (which shapes a lone node's private
+// scheduler) does not apply.
 func WithShared(s *Shared) NodeOption {
 	return func(c *nodeConfig) { c.shared = s }
 }
@@ -286,7 +278,7 @@ func NewNode(self id.Process, rt Runtime, opts ...NodeOption) *Node {
 		o(&cfg)
 	}
 	if cfg.shared == nil {
-		cfg.shared = &Shared{Out: outbound.New(outbound.Config{Counters: cfg.counters, Disabled: !cfg.coalesce})}
+		cfg.shared = &Shared{Out: outbound.New(outbound.Config{Disabled: !cfg.coalesce})}
 	}
 	inc := cfg.incarnation
 	if inc == 0 {

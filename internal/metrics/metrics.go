@@ -304,9 +304,6 @@ func (o *Observer) established(t time.Time) {
 		// leadership because of the crash, however fast it came back.
 		if !o.lastCommonCrashed && o.up[o.lastCommon] && o.curInc[o.lastCommon] == o.lastCommonInc {
 			o.demotions++
-			if debugDemotions {
-				fmt.Printf("DEMOTION at %v: %s -> %s (old up=%v)\n", t, o.lastCommon, o.leader, o.up[o.lastCommon])
-			}
 		}
 	}
 	o.lastCommon, o.lastCommonInc, o.lastCommonValid = o.leader, o.leaderInc, true
@@ -404,10 +401,3 @@ func (r Report) String() string {
 		r.Group, 100*r.Pleader, r.TrMean, r.TrCI95, r.TrSamples,
 		r.MistakesPerHour, r.MistakesCI95, r.Demotions, r.LeaderChanges, r.Duration)
 }
-
-// debugDemotions enables diagnostic printing of demotion events; used only
-// by internal debugging tools.
-var debugDemotions = false
-
-// SetDebugDemotions toggles demotion diagnostics (internal tooling).
-func SetDebugDemotions(v bool) { debugDemotions = v }

@@ -24,9 +24,10 @@
 // scheduler, so a client subscribed to G groups receives one datagram
 // carrying G snapshots per re-advertisement round, and the sweep itself is
 // sharded so no single tick touches more than 1/shards of the population.
-// Lease expiry rides the host's timer plane (the hashed timer wheel in the
-// real-time service) through one re-armable timer over an expiry heap —
-// O(1) per protocol event, never O(clients).
+// Lease expiry rides the host's timer plane: each lease owns one
+// re-armable timer (a hashed-timer-wheel entry in the real-time service)
+// that subscribe and renew re-arm in place — O(1) per protocol event and
+// one entry per lease, however often it renews.
 //
 // Like the protocol core, a Registry is single-threaded by contract: the
 // host serialises message handlers, timer callbacks and publications onto
@@ -130,10 +131,11 @@ type clientSub struct {
 
 // lease is one (client, group) subscription.
 type lease struct {
-	sub     *clientSub
-	group   id.Group
-	ttl     time.Duration
-	expires time.Time
+	sub   *clientSub
+	group id.Group
+	ttl   time.Duration
+	// timer drops the lease once it has gone a whole ttl unrenewed.
+	timer clock.Rearmer
 	// lastSnap is when this client last got a snapshot for the group (any
 	// reason); the sweep re-advertises once it ages past ttl/3.
 	lastSnap time.Time
@@ -152,58 +154,6 @@ type groupPub struct {
 	subs map[id.Process]*lease
 }
 
-// leaseEntry is one pending expiry check. Entries are lazily validated on
-// pop: a renewed lease simply re-enters the heap at its new deadline.
-type leaseEntry struct {
-	at time.Time
-	l  *lease
-}
-
-// leaseHeap is a binary min-heap on at. It is container/heap's algorithm
-// written over the element type: the library's interface{} Push and Pop
-// box every entry, one allocation per lease renewal.
-type leaseHeap []leaseEntry
-
-// push adds e and sifts it up.
-func (h *leaseHeap) push(e leaseEntry) {
-	s := append(*h, e)
-	*h = s
-	for j := len(s) - 1; j > 0; {
-		i := (j - 1) / 2 // parent
-		if !s[j].at.Before(s[i].at) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		j = i
-	}
-}
-
-// pop removes and returns the earliest entry of a non-empty heap: the
-// root swaps with the last element, which then sifts down.
-func (h *leaseHeap) pop() leaseEntry {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	for i := 0; ; {
-		j := 2*i + 1 // left child
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && s[r].at.Before(s[j].at) {
-			j = r
-		}
-		if !s[j].at.Before(s[i].at) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		i = j
-	}
-	e := s[n]
-	s[n] = leaseEntry{}
-	*h = s[:n]
-	return e
-}
-
 // Stats is a point-in-time summary of the registry.
 type Stats struct {
 	// Clients is the number of distinct subscribed client processes.
@@ -218,10 +168,6 @@ type Registry struct {
 	shards []*shard
 	groups map[id.Group]*groupPub
 	leases int
-
-	expiry      leaseHeap
-	expiryTimer clock.Rearmer
-	expiryAt    time.Time // instant expiryTimer is armed for; zero if unarmed
 
 	sweepTimer clock.Rearmer
 	sweepShard int
@@ -252,7 +198,6 @@ func New(cfg Config) *Registry {
 	for i := range r.shards {
 		r.shards[i] = &shard{clients: make(map[id.Process]*clientSub)}
 	}
-	r.expiryTimer = clock.NewTimer(cfg.Clock, r.expire)
 	r.sweepTimer = clock.NewTimer(cfg.Clock, r.sweep)
 	return r
 }
@@ -349,8 +294,7 @@ func (r *Registry) HandleRenew(m *wire.LeaseRenew) {
 	if cs != nil && cs.inc == m.Incarnation {
 		if l := cs.leases[m.Group]; l != nil {
 			l.ttl = r.clampTTL(m.TTL)
-			l.expires = r.cfg.Clock.Now().Add(l.ttl)
-			r.scheduleExpiry(l)
+			l.timer.Reset(l.ttl)
 			return
 		}
 	}
@@ -448,8 +392,14 @@ func (r *Registry) Stop() {
 		return
 	}
 	r.stopped = true
-	r.expiryTimer.Stop()
 	r.sweepTimer.Stop()
+	for _, sh := range r.shards {
+		for _, cs := range sh.clients {
+			for _, l := range cs.leases {
+				l.timer.Stop()
+			}
+		}
+	}
 }
 
 // ensureLease finds or creates the lease for (client, g) under the client
@@ -485,6 +435,7 @@ func (r *Registry) ensureLease(g id.Group, client id.Process, inc int64, ttlNS i
 			return nil, false
 		}
 		l = &lease{sub: cs, group: g}
+		l.timer = clock.NewTimer(r.cfg.Clock, func() { r.expire(l) })
 		cs.leases[g] = l
 		gp := r.groups[g]
 		if gp == nil {
@@ -495,7 +446,7 @@ func (r *Registry) ensureLease(g id.Group, client id.Process, inc int64, ttlNS i
 		r.leases++
 	}
 	l.ttl = r.clampTTL(ttlNS)
-	l.expires = r.cfg.Clock.Now().Add(l.ttl)
+	l.timer.Reset(l.ttl)
 	if r.minTTL == 0 || l.ttl < r.minTTL {
 		shrunk := r.sweepOn && r.minTTL != 0
 		r.minTTL = l.ttl
@@ -509,17 +460,16 @@ func (r *Registry) ensureLease(g id.Group, client id.Process, inc int64, ttlNS i
 		r.sweepOn = true
 		r.sweepTimer.Reset(r.sweepEvery())
 	}
-	r.scheduleExpiry(l)
 	return l, false
 }
 
-// dropLease removes one lease (idempotent). Heap entries referencing it
-// are invalidated lazily.
+// dropLease removes one lease and stops its timer (idempotent).
 func (r *Registry) dropLease(l *lease) {
 	if l.removed {
 		return
 	}
 	l.removed = true
+	l.timer.Stop()
 	delete(l.sub.leases, l.group)
 	if len(l.sub.leases) == 0 {
 		delete(r.shardFor(l.sub.client).clients, l.sub.client)
@@ -541,47 +491,16 @@ func (r *Registry) dropLease(l *lease) {
 	}
 }
 
-// scheduleExpiry enters l's deadline into the expiry plane, re-arming the
-// single timer only when the earliest deadline moved earlier.
-func (r *Registry) scheduleExpiry(l *lease) {
-	r.expiry.push(leaseEntry{at: l.expires, l: l})
-	if r.expiryAt.IsZero() || l.expires.Before(r.expiryAt) {
-		r.expiryAt = l.expires
-		r.expiryTimer.Reset(l.expires.Sub(r.cfg.Clock.Now()))
-	}
-}
-
-// expire is the expiry timer callback: drop every lease whose deadline
-// passed unrenewed, skip stale heap entries, and re-arm at the new
-// earliest deadline.
-func (r *Registry) expire() {
-	if r.stopped {
+// expire is a lease timer's callback: the lease went a whole ttl
+// unrenewed, so its client is presumed gone. A lease already dropped (a
+// timer whose Stop lost the race with its fire, on a clock that allows
+// one) is left alone.
+func (r *Registry) expire(l *lease) {
+	if r.stopped || l.removed {
 		return
 	}
-	now := r.cfg.Clock.Now()
-	for len(r.expiry) > 0 {
-		e := r.expiry[0]
-		if e.at.After(now) {
-			break
-		}
-		r.expiry.pop()
-		if e.l.removed {
-			continue
-		}
-		if e.l.expires.After(now) {
-			// Renewed since this entry was pushed: chase the new deadline.
-			r.expiry.push(leaseEntry{at: e.l.expires, l: e.l})
-			continue
-		}
-		r.cfg.Obs.Inc(obs.CLeaseExpiries)
-		r.dropLease(e.l)
-	}
-	if len(r.expiry) == 0 {
-		r.expiryAt = time.Time{}
-		return
-	}
-	r.expiryAt = r.expiry[0].at
-	r.expiryTimer.Reset(r.expiryAt.Sub(now))
+	r.cfg.Obs.Inc(obs.CLeaseExpiries)
+	r.dropLease(l)
 }
 
 // sweep visits one shard per tick, re-advertising the current view to

@@ -102,8 +102,14 @@ func restRate(shards int) (perPeerSecond float64, eta time.Duration, err error) 
 // one grid and combine what they owe a peer into one datagram — where
 // every shard used to send its own. It measures on the wall clock, so a
 // measurement that misses is taken again, twice at most: shards sending
-// apart miss every time (eightfold), a stalled host once.
+// apart miss every time (eightfold), a stalled host once. Under the race
+// detector the Services still run, for the races they may show, but the
+// 15 % margin is not asserted: instrumented code slows too unevenly.
 func TestRestDatagramsDoNotScaleWithShards(t *testing.T) {
+	if stableleader.RaceEnabled {
+		t.Logf("race detector on, margin not asserted: %v", restMisses(t))
+		return
+	}
 	var misses []string
 	for attempt := 1; attempt <= 3; attempt++ {
 		if misses = restMisses(t); len(misses) == 0 {

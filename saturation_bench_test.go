@@ -5,17 +5,9 @@ package stableleader
 // inbound workload (membership HELLOs and client-plane LEASE_RENEWs)
 // through the full receive path — pooled decode, steering, the bounded
 // per-shard inbound rings, and the shard event loops — at 1/2/4/8 shards.
-//
-// Two modes:
-//
-//   - BenchmarkSaturation/shards=N drives every group concurrently: the
-//     true parallel throughput of this machine. On a multi-core host it
-//     rises with N; on a single-core host (CI containers) it cannot.
-//   - BenchmarkSaturationShardSlice/shards=N drives only the groups of
-//     ONE shard of an N-shard service. Because shards take no lock per
-//     message received, total capacity on a machine with ≥ N cores is N × this number —
-//     the modeled aggregate cmd/perfsnap derives and EXPERIMENTS.md
-//     reports alongside the measured concurrent figures.
+// BenchmarkSaturation/shards=N drives every group concurrently: the true
+// parallel throughput of this machine. On a multi-core host it rises with
+// N; on a single-core host (CI containers) it cannot.
 //
 // Run with:
 //
@@ -50,17 +42,15 @@ const (
 // workload payloads.
 type satHarness struct {
 	svc *Service
-	// traffic holds the payload ring for the driven groups: for each
-	// group one HELLO and satClients LEASE_RENEWs.
+	// traffic holds the payload ring: for each group one HELLO and
+	// satClients LEASE_RENEWs.
 	hellos [][]byte
 	renews [][][]byte
 	gids   []id.Group
 }
 
-// newSatHarness builds the K-groups × M-clients service. When slice is
-// set, only the groups owned by one shard are driven (the service state —
-// all groups, all leases — is identical either way).
-func newSatHarness(b *testing.B, shards int, slice bool) *satHarness {
+// newSatHarness builds the K-groups × M-clients service.
+func newSatHarness(b *testing.B, shards int) *satHarness {
 	b.Helper()
 	ctx := context.Background()
 	svc, err := New("self", nullTransport{}, WithSeed(1), WithShards(shards), WithClientPlane())
@@ -123,19 +113,7 @@ func newSatHarness(b *testing.B, shards int, slice bool) *satHarness {
 		time.Sleep(time.Millisecond)
 	}
 
-	if slice {
-		target := svc.shardIndex(all[0])
-		for _, g := range all {
-			if svc.shardIndex(g) == target {
-				h.gids = append(h.gids, g)
-			}
-		}
-	} else {
-		h.gids = all
-	}
-	if len(h.gids) == 0 {
-		b.Fatal("no driven groups")
-	}
+	h.gids = all
 	selfInc := svc.Incarnation()
 	for _, g := range h.gids {
 		h.hellos = append(h.hellos, wire.MarshalAppend(nil, &wire.Hello{
@@ -197,8 +175,8 @@ func (h *satHarness) drive(b *testing.B, n int) {
 	}
 }
 
-func benchmarkSaturation(b *testing.B, shards int, slice bool) {
-	h := newSatHarness(b, shards, slice)
+func benchmarkSaturation(b *testing.B, shards int) {
+	h := newSatHarness(b, shards)
 	b.ReportAllocs()
 	b.ResetTimer()
 	h.drive(b, b.N)
@@ -211,18 +189,7 @@ func benchmarkSaturation(b *testing.B, shards int, slice bool) {
 func BenchmarkSaturation(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			benchmarkSaturation(b, n, false)
-		})
-	}
-}
-
-// BenchmarkSaturationShardSlice: the same service and workload, driving
-// only one shard's groups — the per-shard saturation throughput whose
-// N-fold sum models aggregate capacity on an N-core machine.
-func BenchmarkSaturationShardSlice(b *testing.B) {
-	for _, n := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			benchmarkSaturation(b, n, true)
+			benchmarkSaturation(b, n)
 		})
 	}
 }
