@@ -87,7 +87,6 @@ func main() {
 		tmr       = flag.Duration("tmr", 100*24*time.Hour, "QoS: mistake recurrence lower bound (TmrL)")
 		pa        = flag.Float64("pa", 0.99999988, "QoS: query accuracy lower bound (PaL)")
 		shards    = flag.Int("shards", 0, "event-loop shards (0 = one per CPU); groups hash across them")
-		receivers = flag.Int("udp-receivers", 1, "parallel UDP receive sockets (needs SO_REUSEPORT; falls back to 1)")
 		metrics   = flag.String("metrics-addr", "", "TCP address for /metrics, /healthz, /readyz, /debug/flight and /debug/pprof (off when empty)")
 		statsEach = flag.Duration("stats-every", 0, "log a one-line packet-plane stats summary at this period (off when 0)")
 	)
@@ -105,7 +104,7 @@ func main() {
 		log.Fatalf("leaderd: %v", err)
 	}
 
-	tr, err := transport.NewUDP(*listen, peers, transport.WithReceivers(*receivers))
+	tr, err := transport.NewUDP(*listen, peers)
 	if err != nil {
 		log.Fatalf("leaderd: %v", err)
 	}
@@ -198,8 +197,8 @@ func main() {
 		log.Fatalf("leaderd: join: %v", err)
 	}
 
-	log.Printf("leaderd: %s joined group %q on %s (algorithm=%s candidate=%v peers=%d serve-clients=%v shards=%d receivers=%d batch-io=%v)",
-		*self, *group, tr.LocalAddr(), algo, *candidate, len(peers), *serveCli, svc.Shards(), tr.Receivers(), tr.BatchIO())
+	log.Printf("leaderd: %s joined group %q on %s (algorithm=%s candidate=%v peers=%d serve-clients=%v shards=%d batch-io=%v)",
+		*self, *group, tr.LocalAddr(), algo, *candidate, len(peers), *serveCli, svc.Shards(), tr.BatchIO())
 
 	watchOpts := []stableleader.WatchOption{stableleader.WithInitialState()}
 	if !*events {

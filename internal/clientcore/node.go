@@ -195,12 +195,6 @@ func NewNode(rt Runtime, cfg Config) *Node {
 	return n
 }
 
-// Self returns the client's process id.
-func (n *Node) Self() id.Process { return n.self }
-
-// Incarnation returns this client lifetime's incarnation number.
-func (n *Node) Incarnation() int64 { return n.inc }
-
 // Subscribe starts (or restarts) the subscription for g. It is
 // asynchronous: the first Update arrives through OnUpdate once an endpoint
 // answers.
@@ -217,17 +211,6 @@ func (n *Node) Subscribe(g id.Group) {
 	n.groups[g] = sub
 	sub.sendSubscribe()
 	sub.armRetry()
-}
-
-// Unsubscribe withdraws the subscription for g, telling the endpoint.
-func (n *Node) Unsubscribe(g id.Group) {
-	sub, ok := n.groups[g]
-	if !ok {
-		return
-	}
-	n.sendUnsubscribe(sub.currentEP(), g)
-	n.out.Flush(sub.currentEP())
-	sub.remove()
 }
 
 // Snapshot returns the last published update for g. ok is false before
@@ -619,10 +602,4 @@ func (sub *groupSub) stopTimers() {
 	sub.renewTimer.Stop()
 	sub.deadTimer.Stop()
 	sub.removed = true
-}
-
-// remove detaches the subscription from the node.
-func (sub *groupSub) remove() {
-	sub.stopTimers()
-	delete(sub.n.groups, sub.gid)
 }

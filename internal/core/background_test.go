@@ -165,8 +165,8 @@ func TestBackgroundWithoutHeartbeatsIsBoundedByItsPeriod(t *testing.T) {
 	gs.gossip()
 	bound := gs.opts.HelloInterval/8 + nb.coalesceDelayFor("a")
 	c.eng.RunFor(bound)
-	if n := hellos(*log, from, "b", "", testGroup); n < gs.opts.GossipFanout {
-		t.Errorf("%d of %d gossip HELLOs left b within %v of the round", n, gs.opts.GossipFanout, bound)
+	if n := hellos(*log, from, "b", "", testGroup); n < gossipFanout {
+		t.Errorf("%d of %d gossip HELLOs left b within %v of the round", n, gossipFanout, bound)
 	}
 	if msgs, _ := nb.OutboundStaged(); msgs != 0 {
 		t.Errorf("%d messages still staged on b %v after the round", msgs, c.eng.Now().Sub(asked))

@@ -132,8 +132,6 @@ type JoinOptions struct {
 	OnStatus func([]MemberStatus)
 	// HelloInterval is the group maintenance gossip period (default 1s).
 	HelloInterval time.Duration
-	// GossipFanout is how many members each HELLO round targets (default 3).
-	GossipFanout int
 	// ReconfigureInterval is the FD configurator period (default 1s).
 	ReconfigureInterval time.Duration
 	// DisableStartupGrace removes the window during which a freshly
@@ -157,9 +155,6 @@ func (o JoinOptions) withDefaults() JoinOptions {
 	}
 	if o.HelloInterval <= 0 {
 		o.HelloInterval = time.Second
-	}
-	if o.GossipFanout <= 0 {
-		o.GossipFanout = 3
 	}
 	if o.ReconfigureInterval <= 0 {
 		o.ReconfigureInterval = time.Second
@@ -345,20 +340,8 @@ func (n *Node) ClientStats() (st subs.Stats, ok bool) {
 // injected one.
 func (n *Node) OutboundStaged() (msgs, dests int) { return n.shared.Out.Staged() }
 
-// Self returns the local process id.
-func (n *Node) Self() id.Process { return n.self }
-
 // Incarnation returns the node's incarnation number.
 func (n *Node) Incarnation() int64 { return n.inc }
-
-// Groups returns the ids of the currently joined groups.
-func (n *Node) Groups() []id.Group {
-	out := make([]id.Group, 0, len(n.groups))
-	for g := range n.groups {
-		out = append(out, g)
-	}
-	return out
-}
 
 // estimatorFor returns the shared estimator for the link from p, resetting
 // it when p restarted with a newer incarnation (sequence numbering and link

@@ -19,6 +19,9 @@ const (
 	joinAnnounceCount = 4
 	joinAnnounceEvery = 300 * time.Millisecond
 
+	// gossipFanout is how many members each HELLO round targets.
+	gossipFanout = 3
+
 	// minRate/maxRate clamp RATE requests from remote monitors so a
 	// confused or malicious peer cannot drive our send rate to extremes.
 	minRateInterval = time.Millisecond
@@ -505,12 +508,8 @@ func (gs *groupState) gossip() {
 	}
 	rng := gs.n.rt.Rand()
 	rng.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
-	k := gs.opts.GossipFanout
-	if k > len(peers) {
-		k = len(peers)
-	}
 	hello := gs.hello()
-	for _, p := range peers[:k] {
+	for _, p := range peers[:min(gossipFanout, len(peers))] {
 		gs.n.sendBackground(p, hello, gs.opts.HelloInterval)
 	}
 }

@@ -81,34 +81,6 @@ func BenchmarkMonitorObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkMonitorObserveHeapClock is the pre-wheel shape for comparison:
-// every deadline re-arm builds a fresh timer object (the clock.NewTimer
-// fallback over a plain AfterFunc clock), the way the monitor behaved
-// when it stopped and re-created a timer per heartbeat.
-func BenchmarkMonitorObserveHeapClock(b *testing.B) {
-	c := &afClock{newWheelClock()}
-	m := NewMonitor(Config{Clock: c, Spec: qos.Default(), Estimator: linkest.New()})
-	defer m.Stop()
-	const interval = 100 * time.Millisecond
-	sendTime := c.wc.now
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.wc.advance(interval)
-		sendTime = sendTime.Add(interval)
-		m.Observe(sendTime, interval, c.wc.now)
-	}
-}
-
-// afClock hides the wheel clock's TimerFactory so monitors fall back to
-// allocate-per-arm AfterFunc timers.
-type afClock struct{ wc *wheelClock }
-
-func (c *afClock) Now() time.Time { return c.wc.now }
-func (c *afClock) AfterFunc(d time.Duration, fn func()) clock.Timer {
-	return c.wc.AfterFunc(d, fn)
-}
-
 // TestObserveAllocFree asserts the acceptance criterion directly: zero
 // allocations per processed heartbeat on a wheel-backed clock. The huge
 // reconfigure interval keeps the (allocating, once-a-second) configurator

@@ -83,9 +83,6 @@ type Endpoint struct {
 // ID returns the process id attached to this endpoint.
 func (ep *Endpoint) ID() id.Process { return ep.id }
 
-// Up reports whether the process is currently running.
-func (ep *Endpoint) Up() bool { return ep.up }
-
 // Counters returns a snapshot of the endpoint's counters.
 func (ep *Endpoint) Counters() Counters { return ep.counters }
 

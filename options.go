@@ -107,18 +107,16 @@ type joinConfig struct {
 	spec                qos.Spec
 	seeds               []id.Process
 	helloInterval       time.Duration
-	gossipFanout        int
 	reconfigureInterval time.Duration
 }
 
 // defaultJoinConfig is the paper's setting: a passive observer running
-// OmegaL under qos.Default, gossiping every second to three peers.
+// OmegaL under qos.Default, gossiping every second.
 func defaultJoinConfig() joinConfig {
 	return joinConfig{
 		algorithm:           OmegaL,
 		spec:                qos.Default(),
 		helloInterval:       time.Second,
-		gossipFanout:        3,
 		reconfigureInterval: time.Second,
 	}
 }
@@ -178,18 +176,6 @@ func WithHelloInterval(d time.Duration) JoinOption {
 			return errors.New("stableleader: hello interval must be positive")
 		}
 		c.helloInterval = d
-		return nil
-	}
-}
-
-// WithGossipFanout sets how many members each gossip round targets
-// (default 3).
-func WithGossipFanout(n int) JoinOption {
-	return func(c *joinConfig) error {
-		if n <= 0 {
-			return errors.New("stableleader: gossip fanout must be positive")
-		}
-		c.gossipFanout = n
 		return nil
 	}
 }

@@ -34,13 +34,13 @@ func (r *sendRecorder) Receive(func([]byte)) {}
 func (r *sendRecorder) Close() error         { return nil }
 
 // vectorRecorder is the same transport with the vectored door; vectors
-// counts the SendVector calls so the test knows the door was used.
+// counts the SendBatch calls so the test knows the door was used.
 type vectorRecorder struct {
 	sendRecorder
 	vectors int
 }
 
-func (r *vectorRecorder) SendVector(_ int, batch []transport.Datagram) (int, error) {
+func (r *vectorRecorder) SendBatch(batch []transport.Datagram) (int, error) {
 	r.vectors++
 	for _, d := range batch {
 		_ = r.Send(d.To, d.Payload)

@@ -54,9 +54,8 @@ type Service struct {
 
 	// vec is the one send door, chosen once at New: tr's own vectored door
 	// where it has one (UDP: one sendmmsg per loop wakeup instead of one
-	// syscall per datagram, each shard pinned to its own send socket),
-	// otherwise a loop of tr.Send. Every shard stages its sends and
-	// flushes them through it.
+	// syscall per datagram), otherwise a loop of tr.Send. Every shard
+	// stages its sends and flushes them through it.
 	vec transport.VectorSender
 
 	// shards are the event-loop shards; groups map onto them by stable
@@ -418,7 +417,7 @@ func (sh *serviceShard) call(ctx context.Context, fn func()) error {
 // over the bounded inbound rings, and taken back by the carrier once
 // every part has been dispatched. The protocol handlers copy everything
 // they keep, so the recycle-after-handle contract holds by construction.
-// Safe for concurrent delivery (multi-receiver transports).
+// Safe for concurrent delivery, which the Transport contract allows.
 //
 // src is the datagram's network source where the transport exposes it
 // (SourceAware) and the client plane is on, invalid otherwise: only
@@ -567,7 +566,6 @@ func (s *Service) Join(ctx context.Context, g id.Group, opts ...JoinOption) (*Gr
 			QoS:                 cfg.spec,
 			Seeds:               cfg.seeds,
 			HelloInterval:       cfg.helloInterval,
-			GossipFanout:        cfg.gossipFanout,
 			ReconfigureInterval: cfg.reconfigureInterval,
 			OnLeaderChange: func(li core.LeaderInfo) {
 				grp.publish(LeaderChanged{Info: publicInfo(li)})
@@ -935,11 +933,11 @@ var sendBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 2048); return &b },
 }
 
-// sendLoop is the vectored send door of a Send-only transport: a vector
+// sendLoop is the vectored send door of a Send-only transport: a batch
 // is that many Sends, in order.
 type sendLoop struct{ tr transport.Transport }
 
-func (l sendLoop) SendVector(_ int, batch []transport.Datagram) (sent int, err error) {
+func (l sendLoop) SendBatch(batch []transport.Datagram) (sent int, err error) {
 	for _, d := range batch {
 		if serr := l.tr.Send(d.To, d.Payload); serr == nil {
 			sent++
@@ -981,10 +979,10 @@ func (r *serviceRuntime) flushIfFull() {
 	}
 }
 
-// flushSends transmits the staged datagrams as one vector through the
-// service's send door, hinted with this shard's index, then recycles the
-// marshal buffers. Runs on the shard loop; the loop calls it before
-// blocking, so nothing ever lingers staged across a wait.
+// flushSends transmits the staged datagrams as one batch through the
+// service's send door, then recycles the marshal buffers. Runs on the
+// shard loop; the loop calls it before blocking, so nothing ever lingers
+// staged across a wait.
 //
 //leadervet:onLoop
 func (r *serviceRuntime) flushSends() {
@@ -993,7 +991,7 @@ func (r *serviceRuntime) flushSends() {
 	}
 	// Best effort, like every send of this protocol: a datagram the
 	// transport could not send is one the network lost.
-	_, _ = r.sh.svc.vec.SendVector(r.sh.idx, r.pend)
+	_, _ = r.sh.svc.vec.SendBatch(r.pend)
 	for i, bp := range r.pendBuf {
 		*bp = (*bp)[:0]
 		sendBufPool.Put(bp)

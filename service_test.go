@@ -209,9 +209,6 @@ func TestServiceValidation(t *testing.T) {
 	if _, err := svc.Join(ctx, "g", stableleader.WithQoS(qos.Spec{DetectionTime: -1})); err == nil {
 		t.Error("invalid QoS must be rejected")
 	}
-	if _, err := svc.Join(ctx, "g", stableleader.WithGossipFanout(-3)); err == nil {
-		t.Error("invalid gossip fanout must be rejected")
-	}
 	if _, err := svc.Join(ctx, "g", stableleader.WithHelloInterval(0)); err == nil {
 		t.Error("invalid hello interval must be rejected")
 	}

@@ -153,49 +153,6 @@ func TestSendBatchAfterClose(t *testing.T) {
 	}
 }
 
-func TestSendHintDelivery(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real sockets in -short mode")
-	}
-	recv, err := NewUDP("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
-	rec := newRecorder()
-	recv.Receive(rec.handler)
-	send, err := NewUDP("127.0.0.1:0", map[id.Process]string{
-		"r": recv.LocalAddr().String(),
-	}, WithReceivers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer send.Close()
-	// Every hint must deliver, whatever socket it lands on; a fixed hint
-	// must always pick the same socket (ordering contract).
-	for h := 0; h < 8; h++ {
-		if send.sendConn(h) != send.sendConn(h) {
-			t.Fatalf("hint %d is not stable", h)
-		}
-		one := []Datagram{{To: "r", Payload: []byte(fmt.Sprintf("h%d", h))}}
-		if _, err := send.SendVector(h, one); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rec.waitN(t, 8, 2*time.Second)
-	if send.Receivers() > 1 {
-		// With several sockets, distinct hints must not all collapse onto
-		// conns[0] — that is the bottleneck this API removes.
-		distinct := map[interface{}]bool{}
-		for h := 0; h < send.Receivers(); h++ {
-			distinct[send.sendConn(h)] = true
-		}
-		if len(distinct) != send.Receivers() {
-			t.Errorf("hints 0..%d map to %d sockets, want %d", send.Receivers()-1, len(distinct), send.Receivers())
-		}
-	}
-}
-
 func TestSendBatchCloseRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets in -short mode")
@@ -209,7 +166,7 @@ func TestSendBatchCloseRace(t *testing.T) {
 			defer recv.Close()
 			send, err := NewUDP("127.0.0.1:0", map[id.Process]string{
 				"r": recv.LocalAddr().String(),
-			}, mode.opt, WithReceivers(2))
+			}, mode.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,7 +178,7 @@ func TestSendBatchCloseRace(t *testing.T) {
 			stop := make(chan struct{})
 			for g := 0; g < 4; g++ {
 				wg.Add(1)
-				go func(h int) {
+				go func() {
 					defer wg.Done()
 					for {
 						select {
@@ -231,10 +188,10 @@ func TestSendBatchCloseRace(t *testing.T) {
 						}
 						// Errors are expected once Close lands; panics and
 						// races are what this test hunts.
-						_, _ = send.SendVector(h, batch)
-						_, _ = send.SendVector(h, batch[:1])
+						_, _ = send.SendBatch(batch)
+						_, _ = send.SendBatch(batch[:1])
 					}
-				}(g)
+				}()
 			}
 			time.Sleep(20 * time.Millisecond)
 			if err := send.Close(); err != nil {

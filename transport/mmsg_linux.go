@@ -27,7 +27,7 @@ const mmsgSupported = true
 
 // mmsgRecvBatch is the receive vector width: how many datagrams one
 // recvmmsg may drain. 32 amortizes the syscall to noise under load while
-// keeping the pinned buffer ring (32 × 64 KiB per receive socket) modest.
+// keeping the pinned buffer ring (32 × 64 KiB) modest.
 const mmsgRecvBatch = 32
 
 // GSO limits: a super-datagram coalesces at most gsoMaxSegs equal-size
@@ -357,7 +357,7 @@ func (v *sendVec) build(family int, s *sendScratch, batch []Datagram, gso bool) 
 }
 
 // sendMmsg transmits every resolved, non-direct entry of batch through
-// sendmmsg on the socket behind rc. A partial transmission (the kernel accepts k < n
+// sendmmsg on the socket. A partial transmission (the kernel accepts k < n
 // headers) retries the remainder — never drops it. A per-header errno
 // (e.g. ECONNREFUSED bounced from an earlier ICMP) skips that header
 // only, matching Send's independent best-effort contract. downgrade is
@@ -366,8 +366,8 @@ func (v *sendVec) build(family int, s *sendScratch, batch []Datagram, gso bool) 
 // chunk through the portable path (nothing has hit the wire yet).
 //
 //leadervet:hotpath
-func (u *UDP) sendMmsg(rc syscall.RawConn, s *sendScratch, batch []Datagram) (sent int, firstErr error, downgrade bool) {
-	if rc == nil {
+func (u *UDP) sendMmsg(s *sendScratch, batch []Datagram) (sent int, firstErr error, downgrade bool) {
+	if u.raw == nil {
 		return 0, nil, true
 	}
 	v := &s.vec
@@ -380,7 +380,7 @@ func (u *UDP) sendMmsg(rc syscall.RawConn, s *sendScratch, batch []Datagram) (se
 	}
 	v.off = 0
 	for v.off < v.n {
-		if werr := rc.Write(v.call); werr != nil {
+		if werr := u.raw.Write(v.call); werr != nil {
 			// The socket died under us (Close racing a send): report, stop.
 			if firstErr == nil {
 				firstErr = werr

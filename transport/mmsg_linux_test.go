@@ -19,7 +19,7 @@ import (
 	"stableleader/id"
 )
 
-func TestMmsgSendVectorAccounting(t *testing.T) {
+func TestMmsgSendBatchAccounting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets in -short mode")
 	}

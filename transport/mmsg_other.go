@@ -5,7 +5,6 @@ package transport
 import (
 	"net"
 	"net/netip"
-	"syscall"
 )
 
 // Portable stand-ins for the Linux syscall-batched packet plane. With
@@ -31,7 +30,7 @@ func (r *mmsgReader) release()               {}
 // the pooled scratch type is the same shape everywhere.
 type sendVec struct{}
 
-func (u *UDP) sendMmsg(syscall.RawConn, *sendScratch, []Datagram) (sent int, firstErr error, downgrade bool) {
+func (u *UDP) sendMmsg(*sendScratch, []Datagram) (sent int, firstErr error, downgrade bool) {
 	return 0, nil, true
 }
 

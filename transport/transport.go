@@ -55,12 +55,12 @@ type Datagram struct {
 // VectorSender is the optional vectored send door: implemented by
 // transports that can hand several datagrams to the network in fewer
 // syscalls than one per datagram. The service stages each event-loop
-// wakeup's sends and flushes them through it in one call; what a vector
+// wakeup's sends and flushes them through it in one call; what a batch
 // becomes on the wire — sendmmsg, GSO super-datagrams, a plain write for
-// a vector of one, a loop of writes where the kernel offers nothing
+// a batch of one, a loop of writes where the kernel offers nothing
 // better — is the transport's decision alone.
 //
-// SendVector attempts every datagram in the batch: each entry is
+// SendBatch attempts every datagram in the batch: each entry is
 // independent best effort (exactly as if sent through Send one by one, in
 // order), so one unresolvable destination or transient send error skips
 // that entry rather than aborting the rest. sent is the number of
@@ -69,16 +69,9 @@ type Datagram struct {
 // prefix of the vector (partial sendmmsg) is retried internally — the
 // remainder is never silently dropped. Per-destination payload order is
 // preserved: batch[i] and batch[j] to the same destination leave the
-// socket in index order.
-//
-// hint pins a caller's traffic to one send socket of a multi-socket
-// transport. Callers that send concurrently (the sharded service's
-// event-loop shards) pass a stable per-caller hint so their streams stop
-// funneling through one socket's write lock; a given hint always selects
-// the same socket, which preserves per-(hint, destination) send order.
-// Hints beyond the socket count wrap around.
+// socket in index order. Like Send, it must be safe for concurrent use.
 type VectorSender interface {
-	SendVector(hint int, batch []Datagram) (sent int, err error)
+	SendBatch(batch []Datagram) (sent int, err error)
 }
 
 // IOStats counts the syscall-level traffic of a transport: how many

@@ -59,9 +59,9 @@ func putPayloadBuf(bp *[]byte) {
 	payloadPool.Put(bp)
 }
 
-// sendScratch is the per-SendVector-chunk working state: resolved
+// sendScratch is the per-SendBatch-chunk working state: resolved
 // destination addresses, per-entry resolve/routing flags, and the
-// platform sendmmsg vector. Pooled because SendVector runs on every
+// platform sendmmsg vector. Pooled because SendBatch runs on every
 // shard's flush path.
 type sendScratch struct {
 	addrs  [maxSendBatch]netip.AddrPort
@@ -94,21 +94,16 @@ type ioCounters struct {
 	gsoSegments   atomic.Int64
 }
 
-// UDP is the real-network transport: one or more UDP sockets per process
-// plus a static address book mapping process ids to peer addresses,
-// mirroring the deployment style of the paper's testbed (a fixed set of
-// workstations). With WithReceivers(n) and kernel SO_REUSEPORT support,
-// n sockets share the listen address and each runs its own read loop —
-// the kernel hashes each peer's flow onto one socket, so per-peer
-// ordering is preserved while receive processing (and the service's
-// decode + steering stage behind the handler) spreads across cores.
+// UDP is the real-network transport: one UDP socket per process, read
+// by one loop, plus a static address book mapping process ids to peer
+// addresses, mirroring the deployment style of the paper's testbed (a
+// fixed set of workstations).
 type UDP struct {
-	// conns are the bound sockets; conns[0] is the send socket and the
-	// address LocalAddr reports. Immutable after construction.
-	conns []*net.UDPConn
-	// raws[i] is conns[i]'s descriptor handle, fetched once: SyscallConn
-	// builds a new one per call, and sendmmsg needs it per syscall.
-	raws []syscall.RawConn
+	// conn is the bound socket, for both directions.
+	conn *net.UDPConn
+	// raw is conn's descriptor handle, fetched once: SyscallConn builds a
+	// new one per call, and sendmmsg needs it per syscall.
+	raw syscall.RawConn
 
 	// family is the socket address family (famIPv4/famIPv6), fixed at
 	// construction; the raw sendmmsg path encodes sockaddrs for it.
@@ -127,11 +122,10 @@ type UDP struct {
 	// io counts syscalls and datagrams in both directions (see IOStats).
 	io ioCounters
 
-	// readerDone is closed when every readLoop has returned; Close waits
-	// on it so no handler invocation can be in flight once Close has
+	// readerDone is closed when the read loop has returned; Close waits on
+	// it so no handler invocation can be in flight once Close has
 	// returned.
 	readerDone chan struct{}
-	readers    sync.WaitGroup
 
 	mu   sync.RWMutex
 	book map[id.Process]netip.AddrPort
@@ -148,7 +142,6 @@ type UDP struct {
 
 // udpConfig is the result of applying UDPOptions.
 type udpConfig struct {
-	receivers int
 	// batchIO is true outside tests; the transport suite clears it to run
 	// every shared case on the classic lane as well.
 	batchIO bool
@@ -158,22 +151,8 @@ type udpConfig struct {
 // UDPOption configures a UDP transport at construction (see NewUDP).
 type UDPOption func(*udpConfig)
 
-// WithReceivers asks for n parallel receive sockets on the listen address
-// (default 1). Values above 1 need kernel SO_REUSEPORT support; where it
-// is unavailable (or a socket fails to open) the transport silently falls
-// back to fewer sockets — Receivers reports the number actually running.
-// More receivers only help a host whose handler scales with concurrent
-// delivery, like the sharded service's steered inbound plane.
-func WithReceivers(n int) UDPOption {
-	return func(c *udpConfig) {
-		if n > 0 {
-			c.receivers = n
-		}
-	}
-}
-
 // WithSocketBuffers asks the kernel for n-byte receive and send buffers
-// on every socket (default: kernel defaults, typically ~208KiB). Larger
+// on the socket (default: kernel defaults, typically ~208KiB). Larger
 // buffers absorb the bursts the batched packet plane produces — a single
 // sendmmsg vector can land dozens of datagrams on a receiver between two
 // of its scheduler slots, and a default-sized buffer drops the overflow.
@@ -190,7 +169,7 @@ func WithSocketBuffers(n int) UDPOption {
 // NewUDP opens a socket on listen (e.g. ":7400" or "10.0.0.3:7400") and
 // resolves the peer address book, e.g. {"b": "10.0.0.4:7400"}.
 func NewUDP(listen string, peers map[id.Process]string, opts ...UDPOption) (*UDP, error) {
-	cfg := udpConfig{receivers: 1, batchIO: true}
+	cfg := udpConfig{batchIO: true}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -198,93 +177,38 @@ func NewUDP(listen string, peers map[id.Process]string, opts ...UDPOption) (*UDP
 	if err != nil {
 		return nil, fmt.Errorf("transport: resolve listen %q: %w", listen, err)
 	}
-	conns, err := openSockets(laddr, cfg.receivers)
+	conn, err := net.ListenUDP("udp", laddr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("transport: listen %q: %w", laddr, err)
 	}
 	if cfg.sockBuf > 0 {
-		for _, c := range conns {
-			_ = c.SetReadBuffer(cfg.sockBuf)
-			_ = c.SetWriteBuffer(cfg.sockBuf)
-		}
-	}
-	raws := make([]syscall.RawConn, len(conns))
-	for i, c := range conns {
-		raws[i], _ = c.SyscallConn() // nil demotes sends on that socket to plain writes
+		_ = conn.SetReadBuffer(cfg.sockBuf)
+		_ = conn.SetWriteBuffer(cfg.sockBuf)
 	}
 	u := &UDP{
-		conns:      conns,
-		raws:       raws,
-		family:     sockFamily(conns[0]),
+		conn:       conn,
+		family:     sockFamily(conn),
 		batch:      cfg.batchIO && mmsgSupported,
 		readerDone: make(chan struct{}),
 		book:       make(map[id.Process]netip.AddrPort, len(peers)),
 		pinned:     make(map[id.Process]bool, len(peers)),
 	}
+	u.raw, _ = conn.SyscallConn() // nil demotes sends to plain writes
 	if u.batch {
-		// GSO support is a kernel property; one socket answers for all.
-		u.gsoOK = probeGSO(conns[0])
+		u.gsoOK = probeGSO(conn)
 	}
 	for p, addr := range peers {
 		a, err := resolveAddrPort(addr)
 		if err != nil {
-			for _, c := range conns {
-				_ = c.Close()
-			}
+			_ = conn.Close()
 			return nil, fmt.Errorf("transport: resolve peer %q=%q: %w", p, addr, err)
 		}
 		u.book[p] = a
 		u.pinned[p] = true
 	}
-	u.readers.Add(len(u.conns))
-	for _, c := range u.conns {
-		go u.readLoop(c)
-	}
-	go func() {
-		u.readers.Wait()
-		close(u.readerDone)
-	}()
+	go u.readLoop()
 	return u, nil
 }
-
-// openSockets binds n sockets to laddr. n == 1 is the classic single
-// socket; above that every socket (the first included) is opened with
-// SO_REUSEPORT so the kernel accepts the shared binding, falling back to
-// whatever subset opened — at minimum the plain single socket.
-func openSockets(laddr *net.UDPAddr, n int) ([]*net.UDPConn, error) {
-	if n <= 1 || !reusePortSupported {
-		conn, err := net.ListenUDP("udp", laddr)
-		if err != nil {
-			return nil, fmt.Errorf("transport: listen %q: %w", laddr, err)
-		}
-		return []*net.UDPConn{conn}, nil
-	}
-	first, err := listenReusePort("udp", laddr.String())
-	if err != nil {
-		// SO_REUSEPORT refused (policy, odd network stack): classic socket.
-		conn, perr := net.ListenUDP("udp", laddr)
-		if perr != nil {
-			return nil, fmt.Errorf("transport: listen %q: %w", laddr, perr)
-		}
-		return []*net.UDPConn{conn}, nil
-	}
-	conns := []*net.UDPConn{first}
-	// Siblings bind the first socket's RESOLVED address: with ":0" every
-	// receiver must share the one ephemeral port the kernel picked.
-	actual := first.LocalAddr().String()
-	for len(conns) < n {
-		c, err := listenReusePort("udp", actual)
-		if err != nil {
-			break // run with what opened; Receivers reports the truth
-		}
-		conns = append(conns, c)
-	}
-	return conns, nil
-}
-
-// Receivers reports how many receive sockets are running (see
-// WithReceivers).
-func (u *UDP) Receivers() int { return len(u.conns) }
 
 // resolveAddrPort resolves a host:port (names included) to a socket
 // address value. Storing netip.AddrPort instead of *net.UDPAddr keeps the
@@ -301,7 +225,7 @@ func resolveAddrPort(addr string) (netip.AddrPort, error) {
 }
 
 // LocalAddr returns the bound socket address.
-func (u *UDP) LocalAddr() net.Addr { return u.conns[0].LocalAddr() }
+func (u *UDP) LocalAddr() net.Addr { return u.conn.LocalAddr() }
 
 // SetPeer adds or updates one peer address. Addresses set this way are
 // configuration: they are pinned against LearnPeer overwrites.
@@ -348,21 +272,21 @@ func (u *UDP) IOStats() IOStats {
 	}
 }
 
-// readLoop pumps one socket's datagrams into the handler until the
+// readLoop pumps the socket's datagrams into the handler until the
 // socket closes, through the batched recvmmsg path where active and the
 // classic one-read-per-datagram path everywhere else. A batched loop
 // that discovers the kernel refuses recvmmsg (ENOSYS, seccomp) demotes
 // the whole transport and continues classically — no datagram is lost in
 // the handoff.
-func (u *UDP) readLoop(conn *net.UDPConn) {
-	defer u.readers.Done()
+func (u *UDP) readLoop() {
+	defer close(u.readerDone)
 	if u.BatchIO() {
-		if u.readLoopBatched(conn) {
+		if u.readLoopBatched() {
 			return
 		}
 		u.mmsgDown.Store(true)
 	}
-	u.readLoopClassic(conn)
+	u.readLoopClassic()
 }
 
 // readLoopBatched drains up to mmsgRecvBatch datagrams per syscall into
@@ -371,8 +295,8 @@ func (u *UDP) readLoop(conn *net.UDPConn) {
 // the classic loop.
 //
 //leadervet:hotpath
-func (u *UDP) readLoopBatched(conn *net.UDPConn) bool {
-	r := newMmsgReader(conn)
+func (u *UDP) readLoopBatched() bool {
+	r := newMmsgReader(u.conn)
 	if r == nil {
 		return false
 	}
@@ -401,7 +325,7 @@ func (u *UDP) readLoopBatched(conn *net.UDPConn) bool {
 }
 
 // liveHandler snapshots the handler under the lock. Close clears it
-// before closing the sockets (and nothing installs one afterwards), so a
+// before closing the socket (and nothing installs one afterwards), so a
 // datagram that raced the shutdown finds nil here and is dropped rather
 // than delivered.
 func (u *UDP) liveHandler() func([]byte, netip.AddrPort) {
@@ -413,15 +337,13 @@ func (u *UDP) liveHandler() func([]byte, netip.AddrPort) {
 // readLoopClassic reads one datagram per syscall into a pooled buffer,
 // hands it to the handler, and returns it to the pool — zero copies and
 // zero allocations per datagram (the handler must not retain the
-// payload, per the Receive contract). In multi-receiver mode several
-// readLoops run concurrently, which the handler contract has always
-// permitted.
+// payload, per the Receive contract).
 //
 //leadervet:hotpath
-func (u *UDP) readLoopClassic(conn *net.UDPConn) {
+func (u *UDP) readLoopClassic() {
 	for {
 		bp := getPayloadBuf()
-		n, src, err := conn.ReadFromUDPAddrPort(*bp)
+		n, src, err := u.conn.ReadFromUDPAddrPort(*bp)
 		if err != nil {
 			putPayloadBuf(bp)
 			return
@@ -435,8 +357,8 @@ func (u *UDP) readLoopClassic(conn *net.UDPConn) {
 	}
 }
 
-// Send implements Transport: one write on the first socket. The payload
-// is written synchronously and not retained, per the Transport contract.
+// Send implements Transport: one write on the socket. The payload is
+// written synchronously and not retained, per the Transport contract.
 func (u *UDP) Send(to id.Process, payload []byte) error {
 	u.mu.RLock()
 	addr, ok := u.book[to]
@@ -448,28 +370,14 @@ func (u *UDP) Send(to id.Process, payload []byte) error {
 	if !ok {
 		return fmt.Errorf("transport: no address for process %q", to)
 	}
-	return u.writeOne(u.conns[0], payload, addr)
-}
-
-// sendConn maps a send hint onto one of the sockets (its index), stably: a fixed hint
-// per caller (the service passes its shard index) spreads concurrent
-// senders across the multi-receiver sockets instead of funneling them
-// through one socket's write lock, while keeping each (hint, destination)
-// stream on one socket — per-pair send order is preserved.
-//
-//leadervet:hotpath
-func (u *UDP) sendConn(hint int) int {
-	if hint <= 0 {
-		return 0
-	}
-	return hint % len(u.conns)
+	return u.writeOne(payload, addr)
 }
 
 // writeOne is the single-datagram write: one syscall, counted.
 //
 //leadervet:hotpath
-func (u *UDP) writeOne(conn *net.UDPConn, payload []byte, addr netip.AddrPort) error {
-	_, err := conn.WriteToUDPAddrPort(payload, addr)
+func (u *UDP) writeOne(payload []byte, addr netip.AddrPort) error {
+	_, err := u.conn.WriteToUDPAddrPort(payload, addr)
 	u.io.sendSyscalls.Add(1)
 	if err == nil {
 		u.io.sendDatagrams.Add(1)
@@ -477,17 +385,12 @@ func (u *UDP) writeOne(conn *net.UDPConn, payload []byte, addr netip.AddrPort) e
 	return err
 }
 
-// SendBatch is SendVector on the first send socket.
+// SendBatch implements VectorSender. Where the platform fast path is
+// active a batch of two or more goes out in sendmmsg vectors of up to
+// maxSendBatch datagrams (GSO-coalesced where profitable); a batch of
+// one, and every batch elsewhere, is exactly the writes Send would have
+// performed, same per-entry semantics.
 func (u *UDP) SendBatch(batch []Datagram) (int, error) {
-	return u.SendVector(0, batch)
-}
-
-// SendVector implements VectorSender on the socket hint selects. Where
-// the platform fast path is active a batch of two or more goes out in
-// sendmmsg vectors of up to maxSendBatch datagrams (GSO-coalesced where
-// profitable); a vector of one, and every vector elsewhere, is exactly
-// the writes Send would have performed, same per-entry semantics.
-func (u *UDP) SendVector(hint int, batch []Datagram) (int, error) {
 	sent := 0
 	var firstErr error
 	for off := 0; off < len(batch); off += maxSendBatch {
@@ -495,7 +398,7 @@ func (u *UDP) SendVector(hint int, batch []Datagram) (int, error) {
 		if end > len(batch) {
 			end = len(batch)
 		}
-		n, err := u.sendChunk(hint, batch[off:end])
+		n, err := u.sendChunk(batch[off:end])
 		sent += n
 		if firstErr == nil {
 			firstErr = err
@@ -512,7 +415,7 @@ func (u *UDP) SendVector(hint int, batch []Datagram) (int, error) {
 // index order holds.
 //
 //leadervet:hotpath
-func (u *UDP) sendChunk(hint int, batch []Datagram) (int, error) {
+func (u *UDP) sendChunk(batch []Datagram) (int, error) {
 	s := getSendScratch()
 	defer putSendScratch(s)
 	u.mu.RLock()
@@ -537,11 +440,9 @@ func (u *UDP) sendChunk(hint int, batch []Datagram) (int, error) {
 		}
 		s.direct[i] = u.needsDirect(s.addrs[i])
 	}
-	sock := u.sendConn(hint)
-	conn := u.conns[sock]
 	sent, vectored := 0, false
 	if len(batch) > 1 && u.BatchIO() {
-		n, err, downgrade := u.sendMmsg(u.raws[sock], s, batch)
+		n, err, downgrade := u.sendMmsg(s, batch)
 		if downgrade {
 			// The kernel (or a seccomp policy) refuses sendmmsg: demote the
 			// transport for good — nothing of this chunk has hit the wire
@@ -560,7 +461,7 @@ func (u *UDP) sendChunk(hint int, batch []Datagram) (int, error) {
 		if !s.ok[i] || (vectored && !s.direct[i]) {
 			continue
 		}
-		if err := u.writeOne(conn, batch[i].Payload, s.addrs[i]); err != nil {
+		if err := u.writeOne(batch[i].Payload, s.addrs[i]); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -649,13 +550,8 @@ func (u *UDP) Close() error {
 	u.closed = true
 	u.handler = nil
 	u.mu.Unlock()
-	var err error
-	for _, c := range u.conns {
-		// Unblocks each ReadFromUDPAddrPort; its readLoop then exits.
-		if cerr := c.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
+	// Unblocks the read loop's syscall; the loop then exits.
+	err := u.conn.Close()
 	<-u.readerDone
 	return err
 }

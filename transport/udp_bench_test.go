@@ -69,3 +69,72 @@ func BenchmarkUDPReceive(b *testing.B) {
 		b.Logf("delivered %d of %d datagrams (kernel drop); allocs/op still valid", got, b.N)
 	}
 }
+
+// TestUDPReceiveAllocFree is BenchmarkUDPReceive's property as a test, on
+// both read loops: once warm, a burst of datagrams read off a real
+// loopback socket and handed to the handler costs no heap allocation.
+// testing.AllocsPerRun counts every goroutine's allocations, so the read
+// loop's are in the figure although it runs on its own goroutine.
+func TestUDPReceiveAllocFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector; alloc counts are nondeterministic")
+	}
+	for _, mode := range batchModes {
+		t.Run(mode.name, func(t *testing.T) {
+			const burst = 32
+			recv, err := NewUDP("127.0.0.1:0", nil, mode.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer recv.Close()
+			// The handler signals the burst's last datagram; a buffered
+			// channel and two atomics keep the handler itself allocation-free.
+			var delivered, target atomic.Int64
+			done := make(chan struct{}, 1)
+			recv.Receive(func([]byte) {
+				if delivered.Add(1) == target.Load() {
+					done <- struct{}{}
+				}
+			})
+			send, err := NewUDP("127.0.0.1:0", map[id.Process]string{
+				"r": recv.LocalAddr().String(),
+			}, mode.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer send.Close()
+			batch := make([]Datagram, burst)
+			for i := range batch {
+				batch[i] = Datagram{To: "r", Payload: make([]byte, 128)}
+			}
+			// One timer, re-armed per burst: a kernel drop ends the wait
+			// instead of hanging the test, at no allocation per burst.
+			timeout := time.NewTimer(time.Hour)
+			timeout.Stop()
+			lost := false
+			allocs := testing.AllocsPerRun(50, func() {
+				if lost {
+					return
+				}
+				target.Add(burst)
+				_, _ = send.SendBatch(batch)
+				timeout.Reset(5 * time.Second)
+				select {
+				case <-done:
+				case <-timeout.C:
+					lost = true
+				}
+				timeout.Stop()
+			})
+			if lost {
+				t.Fatalf("delivered %d of %d datagrams: loopback dropped a burst", delivered.Load(), target.Load())
+			}
+			if perDgram := allocs / burst; perDgram > 0.05 {
+				t.Errorf("receiving costs %.3f allocations per datagram (%.0f per %d-datagram burst), want 0", perDgram, allocs, burst)
+			}
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestUDPCloseHandlerRace hammers the receive-after-Close window: traffic
@@ -55,6 +56,42 @@ func TestUDPCloseHandlerRace(t *testing.T) {
 		close(stop)
 		wg.Wait()
 		_ = sender.Close()
+	}
+}
+
+// TestUDPCloseWaitsForHandler pins the other half of the Close contract:
+// once Close returns, no handler invocation is still in flight on the
+// read loop.
+func TestUDPCloseWaitsForHandler(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets in -short mode")
+	}
+	rx, err := NewUDP("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inFlight atomic.Int32
+	rx.Receive(func([]byte) {
+		inFlight.Add(1)
+		time.Sleep(time.Millisecond)
+		inFlight.Add(-1)
+	})
+	tx, err := NewUDP("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Close()
+	if err := tx.SetPeer("rx", rx.LocalAddr().String()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		_ = tx.Send("rx", []byte("x"))
+	}
+	if err := rx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := inFlight.Load(); n != 0 {
+		t.Fatalf("%d handler invocations still in flight after Close", n)
 	}
 }
 

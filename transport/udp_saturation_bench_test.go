@@ -1,16 +1,14 @@
 package transport
 
-// BenchmarkUDPSaturation measures socket-level receive throughput on the
-// multi-receiver path — the figure BENCH.json records and the ≥3x
-// batching claim rests on. Four sender goroutines drive SendVector
-// vectors (distinct hints, so multi-receiver send affinity spreads them
-// over the send sockets) into a WithReceivers(4) receiver over real
-// loopback; ns/op is per delivered datagram. The mode=batched and
-// mode=classic sub-benchmarks run the identical workload with the
-// recvmmsg/sendmmsg/GSO plane on and force-disabled, so their ratio
-// isolates what syscall batching buys. Packets-per-syscall on both sides
-// is reported as a custom metric; on the classic path it is 1.0 by
-// construction.
+// BenchmarkUDPSaturation measures socket-level receive throughput — the
+// figure BENCH.json records and the ≥3x batching claim rests on. Four
+// sender goroutines drive SendBatch vectors through one sending
+// transport into one receiving transport over real loopback; ns/op is
+// per delivered datagram. The mode=batched and mode=classic
+// sub-benchmarks run the identical workload with the recvmmsg/sendmmsg/GSO
+// plane on and force-disabled, so their ratio isolates what syscall
+// batching buys. Packets-per-syscall on both sides is reported as a
+// custom metric; on the classic path it is 1.0 by construction.
 //
 // Run with:
 //
@@ -36,7 +34,7 @@ func benchmarkUDPSaturation(b *testing.B, opt UDPOption) {
 	// Big socket buffers: at saturation a sendmmsg vector lands dozens of
 	// datagrams between two receiver scheduler slots, and the default
 	// ~208KiB buffer drops the overflow on a loaded host.
-	recv, err := NewUDP("127.0.0.1:0", nil, opt, WithReceivers(4), WithSocketBuffers(4<<20))
+	recv, err := NewUDP("127.0.0.1:0", nil, opt, WithSocketBuffers(4<<20))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,7 +44,7 @@ func benchmarkUDPSaturation(b *testing.B, opt UDPOption) {
 
 	send, err := NewUDP("127.0.0.1:0", map[id.Process]string{
 		"r": recv.LocalAddr().String(),
-	}, opt, WithReceivers(4), WithSocketBuffers(4<<20))
+	}, opt, WithSocketBuffers(4<<20))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -72,7 +70,7 @@ func benchmarkUDPSaturation(b *testing.B, opt UDPOption) {
 	var wg sync.WaitGroup
 	for g := 0; g < producers; g++ {
 		wg.Add(1)
-		go func(h int) {
+		go func() {
 			defer wg.Done()
 			batch := make([]Datagram, chunk)
 			for i := range batch {
@@ -101,12 +99,12 @@ func benchmarkUDPSaturation(b *testing.B, opt UDPOption) {
 						stall = time.Now()
 					}
 				}
-				if _, err := send.SendVector(h, batch[:n]); err != nil {
+				if _, err := send.SendBatch(batch[:n]); err != nil {
 					b.Error(err)
 					return
 				}
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 	// Drain the in-flight tail; exit once the count stays flat so a
@@ -143,14 +141,14 @@ func BenchmarkUDPSaturation(b *testing.B) {
 // BenchmarkUDPRecvDrain isolates the receive path — the side the ≥3x
 // claim is about. Each round queues a burst in the kernel socket buffers
 // with the handler gated shut (the send cost stays outside the timer),
-// then times the drain through the read loops: recvmmsg pulling 32
+// then times the drain through the read loop: recvmmsg pulling 32
 // datagrams per syscall against the classic one-datagram-one-syscall
 // loop, identical handler work on both. This is the regime a saturated
 // receiver actually lives in — the socket buffer is never empty — and
 // unlike BenchmarkUDPSaturation it does not share the CPU budget with a
 // loopback sender, so the syscall amortization is visible undiluted.
 func benchmarkUDPRecvDrain(b *testing.B, opt UDPOption) {
-	recv, err := NewUDP("127.0.0.1:0", nil, opt, WithReceivers(4), WithSocketBuffers(4<<20))
+	recv, err := NewUDP("127.0.0.1:0", nil, opt, WithSocketBuffers(4<<20))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -173,7 +171,7 @@ func benchmarkUDPRecvDrain(b *testing.B, opt UDPOption) {
 
 	send, err := NewUDP("127.0.0.1:0", map[id.Process]string{
 		"r": recv.LocalAddr().String(),
-	}, opt, WithReceivers(4), WithSocketBuffers(4<<20))
+	}, opt, WithSocketBuffers(4<<20))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -210,7 +208,7 @@ func benchmarkUDPRecvDrain(b *testing.B, opt UDPOption) {
 			if k-q < n {
 				n = k - q
 			}
-			if _, err := send.SendVector(int(q), batch[:n]); err != nil {
+			if _, err := send.SendBatch(batch[:n]); err != nil {
 				b.Fatal(err)
 			}
 			q += n
