@@ -104,9 +104,10 @@ func TestClientLeaderQueryEndToEnd(t *testing.T) {
 	}
 
 	// Warm cache: answers survive well past one lease through renewals
-	// and re-advertisements — with NO staleness blips, even though the
-	// lease (2s) is far shorter than the server's default: the
-	// re-advertisement cadence follows the shortest granted lease.
+	// and the snapshots that answer them — with NO staleness blips, even
+	// though the lease (2s) is far shorter than the server's default: the
+	// client renews at a third of its granted lease, and the server
+	// answers any renewal that finds the last snapshot lease/6 old.
 	events := cli.Watch(ctx, "g")
 	time.Sleep(3 * time.Second)
 	lease2, err := cli.Leader(ctx, "g")

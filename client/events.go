@@ -52,7 +52,8 @@ type Event interface {
 
 // LeaderUpdated reports a change of the leadership view served to this
 // client — the interrupt-mode notification of the client plane. Silent
-// lease refreshes (re-advertisements of an unchanged view) do not fire it.
+// lease refreshes (snapshots of an unchanged view, such as the answers to
+// renewals) do not fire it.
 type LeaderUpdated struct {
 	// Lease is the newly adopted view.
 	Lease LeaderLease

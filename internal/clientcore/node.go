@@ -13,8 +13,10 @@
 //
 //   - SUBSCRIBEs to one service endpoint and caches the LeaderSnapshot it
 //     returns, stamped with a lease;
-//   - renews the lease every lease/3 with LEASE_RENEW (coalesced across
-//     groups into one datagram by the shared outbound scheduler);
+//   - renews the lease with LEASE_RENEW from one node-wide timer that
+//     fires at a third of the shortest granted lease, so every group's
+//     renewal rides one datagram per endpoint (the service answers a
+//     renewal with a snapshot when the client has had none for lease/6);
 //   - treats the cached view as fresh until the lease runs out without a
 //     snapshot — the staleness bound the client API advertises;
 //   - on expiry or tombstone, fails over across the configured endpoints
@@ -115,9 +117,17 @@ type Node struct {
 	// the renewal path coalesce its per-group traffic into per-client
 	// datagrams; the population still spreads load because each client
 	// shuffles differently.
-	eps     []id.Process
-	groups  map[id.Group]*groupSub
-	stopped bool
+	eps    []id.Process
+	groups map[id.Group]*groupSub
+	// renewTimer paces LEASE_RENEWs for every healthy subscription at
+	// once; renewAt is its deadline (zero when idle). An accepted
+	// snapshot may only pull the deadline earlier: were arrivals to push
+	// it back, snapshots (answers to renewals, fan-outs) could perpetually
+	// defer the renewal that is the only thing keeping the server-side
+	// lease alive.
+	renewTimer clock.Rearmer
+	renewAt    time.Time
+	stopped    bool
 }
 
 // groupSub is one group's subscription state.
@@ -151,14 +161,6 @@ type groupSub struct {
 	// leaseDur is the granted lease (the server may clamp the requested
 	// TTL); renewals pace off it, not off the request.
 	leaseDur time.Duration
-	// renewTimer paces LEASE_RENEWs. It is armed by the first accepted
-	// snapshot of a subscription and then re-arms ITSELF — snapshot
-	// arrivals must not reset it, or the server's re-advertisements
-	// (sent at least as often as lease/3) would perpetually defer the
-	// renewal that is the only thing keeping the server-side lease
-	// alive. renewArmed tracks whether the cycle is running.
-	renewTimer clock.Rearmer
-	renewArmed bool
 	// deadTimer is the lease/subscribe deadline driving staleness edges
 	// and failover.
 	deadTimer clock.Rearmer
@@ -178,6 +180,7 @@ func NewNode(rt Runtime, cfg Config) *Node {
 		cfg:    cfg,
 		groups: make(map[id.Group]*groupSub),
 	}
+	n.renewTimer = clock.NewTimer(rt, n.renewTick)
 	n.out = outbound.New(outbound.Config{
 		Clock:    rt,
 		Emit:     rt.Send,
@@ -206,7 +209,6 @@ func (n *Node) Subscribe(g id.Group) {
 		return
 	}
 	sub := &groupSub{n: n, gid: g, eps: n.endpointOrder()}
-	sub.renewTimer = clock.NewTimer(n.rt, sub.renewTick)
 	sub.deadTimer = clock.NewTimer(n.rt, sub.deadTick)
 	n.groups[g] = sub
 	sub.sendSubscribe()
@@ -231,6 +233,7 @@ func (n *Node) Stop(graceful bool) {
 		return
 	}
 	n.stopped = true
+	n.renewTimer.Stop()
 	for _, g := range id.SortedMapKeys(n.groups) {
 		sub := n.groups[g]
 		if graceful {
@@ -440,7 +443,6 @@ func (sub *groupSub) handleSnapshot(m *wire.LeaderSnapshot) {
 			At:                now,
 		})
 		sub.stale = true
-		sub.stopRenewing()
 		sub.attempts++
 		sub.rotate()
 		if sub.attempts%max(len(sub.eps), 1) != 0 {
@@ -467,10 +469,7 @@ func (sub *groupSub) handleSnapshot(m *wire.LeaderSnapshot) {
 		At:                now,
 		Expires:           now.Add(lease),
 	})
-	if !sub.renewArmed {
-		sub.renewArmed = true
-		sub.renewTimer.Reset(lease / 3)
-	}
+	sub.n.armRenewal(lease)
 	sub.deadTimer.Reset(lease)
 }
 
@@ -524,39 +523,50 @@ func (sub *groupSub) failoverToSuccessor(m *wire.LeaderSnapshot, now time.Time) 
 		Expires:           now.Add(lease),
 	})
 	sub.sendSubscribe()
-	if !sub.renewArmed {
-		sub.renewArmed = true
-		sub.renewTimer.Reset(lease / 3)
-	}
+	sub.n.armRenewal(lease)
 	sub.deadTimer.Reset(lease)
 }
 
-// renewTick extends the lease server-side; it re-arms itself — on the
-// GRANTED lease's cadence, which may be shorter than the requested TTL —
-// for as long as the subscription is healthy.
-func (sub *groupSub) renewTick() {
-	if sub.removed || sub.n.stopped || sub.stale {
-		sub.renewArmed = false
-		return
+// armRenewal makes the renewal timer fire within lease/3 of now, keeping
+// an earlier deadline: a subscription granted lease is owed a renewal by
+// then, and one already due sooner renews with it.
+func (n *Node) armRenewal(lease time.Duration) {
+	at := n.rt.Now().Add(lease / 3)
+	if n.renewAt.IsZero() || at.Before(n.renewAt) {
+		n.renewAt = at
+		n.renewTimer.Reset(lease / 3)
 	}
-	sub.n.out.Enqueue(sub.currentEP(), &wire.LeaseRenew{
-		Group:       sub.gid,
-		Sender:      sub.n.self,
-		Incarnation: sub.n.inc,
-		TTL:         int64(sub.n.cfg.TTL),
-	}, coalesceDelay)
-	lease := sub.leaseDur
-	if lease <= 0 {
-		lease = sub.n.cfg.TTL
-	}
-	sub.renewTimer.Reset(lease / 3)
 }
 
-// stopRenewing ends the renewal cycle (the next healthy snapshot
-// restarts it).
-func (sub *groupSub) stopRenewing() {
-	sub.renewTimer.Stop()
-	sub.renewArmed = false
+// renewTick extends every healthy subscription's lease server-side —
+// enqueued together, so each endpoint gets one datagram carrying all of
+// this client's renewals — and re-arms at a third of the shortest GRANTED
+// lease, which may be shorter than the requested TTL. With no healthy
+// subscription it stays idle until the next accepted snapshot.
+func (n *Node) renewTick() {
+	n.renewAt = time.Time{}
+	if n.stopped {
+		return
+	}
+	var shortest time.Duration
+	for _, g := range id.SortedMapKeys(n.groups) {
+		sub := n.groups[g]
+		if !sub.haveView || sub.stale {
+			continue
+		}
+		n.out.Enqueue(sub.currentEP(), &wire.LeaseRenew{
+			Group:       g,
+			Sender:      n.self,
+			Incarnation: n.inc,
+			TTL:         int64(n.cfg.TTL),
+		}, coalesceDelay)
+		if shortest == 0 || sub.leaseDur < shortest {
+			shortest = sub.leaseDur
+		}
+	}
+	if shortest > 0 {
+		n.armRenewal(shortest)
+	}
 }
 
 // deadTick fires when the lease (or a subscribe attempt) ran out: publish
@@ -568,7 +578,6 @@ func (sub *groupSub) deadTick() {
 	}
 	if sub.haveView && !sub.stale {
 		sub.stale = true
-		sub.stopRenewing()
 		up := sub.last
 		up.Stale = true
 		up.At = sub.n.rt.Now()
@@ -597,9 +606,8 @@ func (sub *groupSub) publish(up Update) {
 	}
 }
 
-// stopTimers quiesces the subscription's timers.
+// stopTimers quiesces the subscription's timer.
 func (sub *groupSub) stopTimers() {
-	sub.renewTimer.Stop()
 	sub.deadTimer.Stop()
 	sub.removed = true
 }

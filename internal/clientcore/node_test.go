@@ -128,11 +128,11 @@ func TestSubscribeAcceptRenewCycle(t *testing.T) {
 }
 
 func TestRenewalsSurviveFrequentReadverts(t *testing.T) {
-	// Server re-advertisements arrive at least as often as lease/3. If
-	// each one reset the renew timer, LEASE_RENEW — the only message
-	// that extends the server-side lease — would never fire and the
-	// lease would silently die. The renew cycle must be self-arming,
-	// independent of snapshot arrivals.
+	// Snapshots (leader-change fan-outs, answers to renewals) may arrive
+	// more often than lease/3. If each one pushed the renew timer back,
+	// LEASE_RENEW — the only message that extends the server-side lease
+	// — would never fire and the lease would silently die. The renew
+	// cycle must be self-arming, independent of snapshot arrivals.
 	h := newNode(t, nil) // TTL 6s → renew every 2s
 	h.n.Subscribe("g")
 	h.rt.settle()
@@ -140,7 +140,7 @@ func TestRenewalsSurviveFrequentReadverts(t *testing.T) {
 	var seq uint64 = 1
 	h.n.HandleMessage(snapshot("w01", "g", seq, "w02", 6*time.Second))
 	h.rt.take()
-	// Re-advertise every 1.5s (faster than lease/3) for 30s.
+	// Snapshot the unchanged view every 1.5s (faster than lease/3) for 30s.
 	renews := 0
 	for i := 0; i < 20; i++ {
 		h.rt.eng.RunFor(1500 * time.Millisecond)
@@ -391,5 +391,59 @@ func TestMultiGroupTrafficCoalesces(t *testing.T) {
 	}
 	if datagrams > 2 {
 		t.Fatalf("%d datagrams for %d same-endpoint subscribes: coalescing broken", datagrams, groups)
+	}
+}
+
+func TestRenewalsOfAllGroupsShareOneDatagram(t *testing.T) {
+	// Groups whose first snapshots arrive apart still renew together: the
+	// client's renewals are one schedule, so each cycle is one datagram
+	// carrying every group's LEASE_RENEW, not one per arrival time.
+	h := newNode(t, nil) // TTL 6s → renew every 2s
+	const groups = 8
+	for i := 0; i < groups; i++ {
+		h.n.Subscribe(id.Group(string(rune('a' + i))))
+	}
+	h.rt.settle()
+	h.rt.take()
+	seq := map[id.Group]uint64{}
+	accept := func(g id.Group) {
+		seq[g]++
+		h.n.HandleMessage(snapshot("w01", g, seq[g], "w02", 6*time.Second))
+	}
+	for _, g := range []id.Group{"a", "b", "c", "d"} {
+		accept(g)
+	}
+	h.rt.eng.RunFor(500 * time.Millisecond)
+	for _, g := range []id.Group{"e", "f", "g", "h"} {
+		accept(g)
+	}
+	// Answer every renewal as a server would, for six cycles.
+	cycles := 0
+	for step := 0; step < 120; step++ {
+		h.rt.eng.RunFor(100 * time.Millisecond)
+		for _, d := range h.rt.sent {
+			msgs := []wire.Message{d.m}
+			if b, ok := d.m.(*wire.Batch); ok {
+				msgs = b.Msgs
+			}
+			renews := 0
+			for _, m := range msgs {
+				if r, ok := m.(*wire.LeaseRenew); ok {
+					renews++
+					accept(r.Group)
+				}
+			}
+			if renews == 0 {
+				continue
+			}
+			cycles++
+			if renews != groups {
+				t.Fatalf("renewal cycle %d: a datagram carried %d LEASE_RENEWs, want all %d", cycles, renews, groups)
+			}
+		}
+		h.rt.sent = nil
+	}
+	if cycles < 5 {
+		t.Fatalf("%d renewal datagrams in 12s, want one per lease/3", cycles)
 	}
 }

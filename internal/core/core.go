@@ -192,7 +192,6 @@ type nodeConfig struct {
 	coalesce    bool
 	shared      *Shared
 	clientPlane bool
-	clientCfg   subs.Config
 	incarnation int64
 	obs         *obs.Shard
 }
@@ -245,14 +244,10 @@ func WithIncarnation(inc int64) NodeOption {
 // WithClientPlane turns on the remote client plane: the node answers
 // SUBSCRIBE/LEASE_RENEW/UNSUBSCRIBE messages from non-member processes and
 // keeps them informed of leadership with lease-bounded LEADER_SNAPSHOTs
-// (fan-out on leader-change edges plus staggered re-advertisement, all
-// through the outbound coalescing path). cfg tunes the registry: the
-// identity, clock and send fields are supplied by the node and ignored.
-func WithClientPlane(cfg subs.Config) NodeOption {
-	return func(c *nodeConfig) {
-		c.clientPlane = true
-		c.clientCfg = cfg
-	}
+// (fan-out on leader-change edges plus answers to due renewals, all
+// through the outbound coalescing path).
+func WithClientPlane() NodeOption {
+	return func(c *nodeConfig) { c.clientPlane = true }
 }
 
 // WithObs installs the host's per-shard observability slot: protocol
@@ -291,26 +286,26 @@ func NewNode(self id.Process, rt Runtime, opts ...NodeOption) *Node {
 	}
 	n.out = cfg.shared.Out.Port(rt, rt.Send)
 	if cfg.clientPlane {
-		sc := cfg.clientCfg
-		sc.Self = self
-		sc.Incarnation = n.inc
-		sc.Clock = rt
-		sc.Obs = cfg.obs
-		sc.Send = func(to id.Process, m wire.Message, urgent bool) {
-			if urgent {
-				n.sendNow(to, m)
-			} else {
-				n.sendLazy(to, m)
-			}
-		}
-		sc.Leader = func(g id.Group) (subs.View, bool) {
-			gs, ok := n.groups[g]
-			if !ok || gs.stopped {
-				return subs.View{}, false
-			}
-			return clientView(gs.currentInfo()), true
-		}
-		n.subs = subs.New(sc)
+		n.subs = subs.New(subs.Config{
+			Self:        self,
+			Incarnation: n.inc,
+			Clock:       rt,
+			Obs:         cfg.obs,
+			Send: func(to id.Process, m wire.Message, urgent bool) {
+				if urgent {
+					n.sendNow(to, m)
+				} else {
+					n.sendLazy(to, m)
+				}
+			},
+			Leader: func(g id.Group) (subs.View, bool) {
+				gs, ok := n.groups[g]
+				if !ok || gs.stopped {
+					return subs.View{}, false
+				}
+				return clientView(gs.currentInfo()), true
+			},
+		})
 	}
 	return n
 }

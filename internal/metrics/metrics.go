@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"stableleader/id"
-	"stableleader/internal/stats"
 )
 
 // view is one process's current leader opinion. Views name a specific
@@ -65,7 +64,7 @@ type Observer struct {
 	// leader recovery (Tr)
 	trPending   bool
 	trCrashedAt time.Time
-	trSamples   stats.Welford
+	trSamples   welford
 	trAll       []time.Duration
 
 	// leaderless windows: every maximal interval without a common leader,
@@ -294,7 +293,7 @@ func (o *Observer) established(t time.Time) {
 	if o.trPending {
 		o.trPending = false
 		d := t.Sub(o.trCrashedAt)
-		o.trSamples.Add(d.Seconds())
+		o.trSamples.add(d.Seconds())
 		o.trAll = append(o.trAll, d)
 	}
 	if o.lastCommonValid && (o.leader != o.lastCommon || o.leaderInc != o.lastCommonInc) {
@@ -367,7 +366,7 @@ func (o *Observer) Finish(end time.Time) Report {
 	r := Report{
 		Group:          o.group,
 		Duration:       o.total,
-		TrSamples:      o.trSamples.N(),
+		TrSamples:      o.trSamples.n,
 		Tr:             append([]time.Duration(nil), o.trAll...),
 		Demotions:      o.demotions,
 		LeaderChanges:  o.leaderChanges,
@@ -383,14 +382,14 @@ func (o *Observer) Finish(end time.Time) Report {
 	if o.total > 0 {
 		r.Pleader = float64(o.leaderTime) / float64(o.total)
 	}
-	if o.trSamples.N() > 0 {
-		r.TrMean = time.Duration(o.trSamples.Mean() * float64(time.Second))
-		r.TrCI95 = time.Duration(o.trSamples.CI95() * float64(time.Second))
+	if o.trSamples.n > 0 {
+		r.TrMean = time.Duration(o.trSamples.mean * float64(time.Second))
+		r.TrCI95 = time.Duration(o.trSamples.ci95() * float64(time.Second))
 	}
 	hours := o.total.Hours()
 	if hours > 0 {
 		r.MistakesPerHour = float64(o.demotions) / hours
-		r.MistakesCI95 = stats.PoissonRateCI95(o.demotions, hours)
+		r.MistakesCI95 = poissonRateCI95(o.demotions, hours)
 	}
 	return r
 }
@@ -400,4 +399,69 @@ func (r Report) String() string {
 	return fmt.Sprintf("group=%s Pleader=%.4f%% Tr=%v±%v (n=%d) λu=%.2f±%.2f/h demotions=%d changes=%d over %v",
 		r.Group, 100*r.Pleader, r.TrMean, r.TrCI95, r.TrSamples,
 		r.MistakesPerHour, r.MistakesCI95, r.Demotions, r.LeaderChanges, r.Duration)
+}
+
+// welford accumulates a streaming mean and variance (Welford's online
+// algorithm). The zero value is an empty accumulator.
+type welford struct {
+	n    int64
+	mean float64
+	m2   float64
+}
+
+// add incorporates one observation.
+func (w *welford) add(x float64) {
+	w.n++
+	d := x - w.mean
+	w.mean += d / float64(w.n)
+	w.m2 += d * (x - w.mean)
+}
+
+// variance is the unbiased sample variance, 0 for fewer than two samples.
+func (w *welford) variance() float64 {
+	if w.n < 2 {
+		return 0
+	}
+	return w.m2 / float64(w.n-1)
+}
+
+// ci95 is the half-width of the 95% confidence interval for the mean, 0
+// for fewer than two samples.
+func (w *welford) ci95() float64 {
+	if w.n < 2 {
+		return 0
+	}
+	return tCritical95(w.n-1) * math.Sqrt(w.variance()) / math.Sqrt(float64(w.n))
+}
+
+// tTable holds two-sided 95% Student-t critical values for 1..30 degrees of
+// freedom; beyond 30 the normal value 1.96 is a standard approximation.
+var tTable = [...]float64{
+	12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+	2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+	2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+}
+
+// tCritical95 is the two-sided 95% Student-t critical value for df degrees
+// of freedom.
+func tCritical95(df int64) float64 {
+	switch {
+	case df <= 0:
+		return math.NaN()
+	case df <= int64(len(tTable)):
+		return tTable[df-1]
+	default:
+		return 1.96
+	}
+}
+
+// poissonRateCI95 is the half-width of an approximate 95% confidence
+// interval for an event rate, given count events over exposure (in the
+// rate's time unit): the normal approximation 1.96·√count/exposure, the
+// standard interval for the paper's mistake rate.
+func poissonRateCI95(count int64, exposure float64) float64 {
+	if exposure <= 0 {
+		return math.NaN()
+	}
+	return 1.96 * math.Sqrt(float64(count)) / exposure
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"stableleader/id"
-	"stableleader/internal/stats"
 )
 
 // FaultPlan describes the random crash/recovery behaviour of a component
@@ -34,14 +33,14 @@ func ScheduleFaults(eng *Engine, plan FaultPlan, crash, recover func()) {
 	var scheduleCrash func()
 	var scheduleRecover func()
 	scheduleCrash = func() {
-		d := time.Duration(stats.Exp(eng.Rand(), float64(plan.MTBF)))
+		d := expDuration(eng.Rand(), plan.MTBF)
 		eng.After(d, func() {
 			crash()
 			scheduleRecover()
 		})
 	}
 	scheduleRecover = func() {
-		d := time.Duration(stats.Exp(eng.Rand(), float64(plan.MTTR)))
+		d := expDuration(eng.Rand(), plan.MTTR)
 		eng.After(d, func() {
 			recover()
 			scheduleCrash()

@@ -7,7 +7,6 @@ import (
 
 	"stableleader/id"
 	"stableleader/internal/clock"
-	"stableleader/internal/stats"
 	"stableleader/internal/wire"
 )
 
@@ -202,7 +201,7 @@ func (n *Network) Send(from, to id.Process, m wire.Message) {
 	if l.model.Loss > 0 && n.eng.Rand().Float64() < l.model.Loss {
 		return
 	}
-	delay := time.Duration(stats.Exp(n.eng.Rand(), float64(l.model.MeanDelay)))
+	delay := expDuration(n.eng.Rand(), l.model.MeanDelay)
 	if l.model.Reorder > 0 && n.eng.Rand().Float64() < l.model.Reorder {
 		hold := l.model.ReorderDelay
 		if hold <= 0 {
@@ -212,9 +211,19 @@ func (n *Network) Send(from, to id.Process, m wire.Message) {
 	}
 	n.deliver(to, m, msgs, size, delay)
 	if l.model.Dup > 0 && n.eng.Rand().Float64() < l.model.Dup {
-		n.deliver(to, m, msgs, size,
-			time.Duration(stats.Exp(n.eng.Rand(), float64(l.model.MeanDelay))))
+		n.deliver(to, m, msgs, size, expDuration(n.eng.Rand(), l.model.MeanDelay))
 	}
+}
+
+// expDuration draws an exponentially distributed duration with the given
+// mean. A non-positive mean is zero without a draw, so a model without
+// delay leaves the random stream — and every simulation outcome after it —
+// as it was.
+func expDuration(rng *rand.Rand, mean time.Duration) time.Duration {
+	if mean <= 0 {
+		return 0
+	}
+	return time.Duration(rng.ExpFloat64() * float64(mean))
 }
 
 // deliver schedules one copy of a datagram for arrival after delay.

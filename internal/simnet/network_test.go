@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -276,5 +277,35 @@ func TestBatchCountsAsOneDatagram(t *testing.T) {
 	}
 	if got, ok := c.msgs[0].(*wire.Batch); !ok || len(got.Msgs) != 3 {
 		t.Errorf("delivered %+v, want the 3-message batch", c.msgs[0])
+	}
+}
+
+func TestExpMean(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const n = 200000
+	const mean = 3500 * time.Microsecond
+	var sum time.Duration
+	for i := 0; i < n; i++ {
+		v := expDuration(rng, mean)
+		if v < 0 {
+			t.Fatalf("negative exponential variate %v", v)
+		}
+		sum += v
+	}
+	got := sum / n
+	if d := got - mean; d > 50*time.Microsecond || d < -50*time.Microsecond {
+		t.Errorf("empirical mean = %v, want %v ± 50µs", got, mean)
+	}
+}
+
+func TestExpNonPositiveMean(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	before := rng.Int63()
+	rng.Seed(1)
+	if expDuration(rng, 0) != 0 || expDuration(rng, -1) != 0 {
+		t.Error("non-positive mean should yield 0")
+	}
+	if rng.Int63() != before {
+		t.Error("non-positive mean drew from the random stream")
 	}
 }

@@ -134,8 +134,8 @@ func TestOnlyUnrenewedLeasesExpire(t *testing.T) {
 	reg.HandleSubscribe(&wire.Subscribe{Group: "g", Sender: "restarted", Incarnation: 1, TTL: ttl})
 	reg.HandleUnsubscribe(&wire.Unsubscribe{Group: "g", Sender: "gone", Incarnation: 1})
 	reg.HandleSubscribe(&wire.Subscribe{Group: "g", Sender: "restarted", Incarnation: 2, TTL: ttl})
-	if n := c.w.Len(); n != 2 {
-		t.Fatalf("%d timers armed for one live lease, want 2 (its own and the sweep's)", n)
+	if n := c.w.Len(); n != 1 {
+		t.Fatalf("%d timers armed for one live lease, want 1 (its own)", n)
 	}
 	c.advance(time.Second)
 	reg.HandleRenew(&wire.LeaseRenew{Group: "g", Sender: "restarted", Incarnation: 2, TTL: ttl})

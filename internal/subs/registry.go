@@ -1,6 +1,6 @@
-// Package subs implements the server half of the client plane: a sharded
-// registry of remote subscribers that the election service keeps informed
-// of leadership through lease-bounded LeaderSnapshot messages.
+// Package subs implements the server half of the client plane: a registry
+// of remote subscribers that the election service keeps informed of
+// leadership through lease-bounded LeaderSnapshot messages.
 //
 // The paper frames leader election as a *service* consulted by
 // applications; members consult their in-process Group handle, but a
@@ -12,18 +12,19 @@
 //     with the node's current view;
 //   - every local leader-change edge fans a fresh snapshot out to the
 //     group's subscribers;
-//   - a staggered per-shard sweep re-advertises snapshots so a lost
-//     change datagram heals well inside the lease;
-//   - LEASE_RENEW extends the lease without data traffic; a lease that
-//     expires unrenewed is dropped silently (the client crashed);
+//   - LEASE_RENEW extends the lease, and is answered with a snapshot
+//     only when the client has had none for lease/6 — so a client that
+//     renews every lease/3 hears the current view at least every lease/2,
+//     and a lost change datagram heals inside the lease with no schedule
+//     of the registry's own; a lease that expires unrenewed is dropped
+//     silently (the client crashed);
 //   - leaving a group publishes tombstone snapshots so clients fail over
 //     to another service node instead of timing out.
 //
 // Fan-out cost is what makes this viable at 10k+ subscribers per node:
 // every non-urgent send goes through the node's outbound coalescing
-// scheduler, so a client subscribed to G groups receives one datagram
-// carrying G snapshots per re-advertisement round, and the sweep itself is
-// sharded so no single tick touches more than 1/shards of the population.
+// scheduler, so a client subscribed to G groups — whose G renewals arrive
+// in one datagram — receives one datagram carrying the G answers.
 // Lease expiry rides the host's timer plane: each lease owns one
 // re-armable timer (a hashed-timer-wheel entry in the real-time service)
 // that subscribe and renew re-arm in place — O(1) per protocol event and
@@ -45,7 +46,6 @@ import (
 
 // Defaults for Config fields left zero.
 const (
-	DefaultShards = 8
 	DefaultTTL    = 10 * time.Second
 	DefaultMinTTL = time.Second
 	DefaultMaxTTL = time.Minute
@@ -84,8 +84,6 @@ type Config struct {
 	// Leader returns the node's current view of g, and whether the node
 	// serves g at all.
 	Leader func(g id.Group) (View, bool)
-	// Shards is the number of sweep shards (default DefaultShards).
-	Shards int
 	// MaxLeases caps registered (client, group) leases (default
 	// DefaultMaxLeases). Excess subscribers get tombstones: "go elsewhere".
 	MaxLeases int
@@ -99,9 +97,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = DefaultShards
-	}
 	if c.MaxLeases <= 0 {
 		c.MaxLeases = DefaultMaxLeases
 	}
@@ -121,8 +116,7 @@ func (c Config) withDefaults() Config {
 }
 
 // clientSub is one remote client's registration: its current lifetime and
-// its per-group leases. Grouping leases client-major is what lets the
-// sweep emit one coalesced datagram per client.
+// its per-group leases.
 type clientSub struct {
 	client id.Process
 	inc    int64
@@ -137,14 +131,9 @@ type lease struct {
 	// timer drops the lease once it has gone a whole ttl unrenewed.
 	timer clock.Rearmer
 	// lastSnap is when this client last got a snapshot for the group (any
-	// reason); the sweep re-advertises once it ages past ttl/3.
+	// reason); a renewal is answered once it is ttl/6 old.
 	lastSnap time.Time
 	removed  bool
-}
-
-// shard is one sweep unit of the client population.
-type shard struct {
-	clients map[id.Process]*clientSub
 }
 
 // groupPub is the per-group publication state: the snapshot sequence and
@@ -162,70 +151,30 @@ type Stats struct {
 	Leases int
 }
 
-// Registry is the sharded subscriber registry of one service node.
+// Registry is the subscriber registry of one service node.
 type Registry struct {
-	cfg    Config
-	shards []*shard
-	groups map[id.Group]*groupPub
-	leases int
+	cfg     Config
+	clients map[id.Process]*clientSub
+	groups  map[id.Group]*groupPub
+	leases  int
 
-	sweepTimer clock.Rearmer
-	sweepShard int
-	sweepOn    bool
-	// minTTL is the smallest lease granted since the registry last
-	// emptied: the sweep cadence derives from it, so short-lease clients
-	// are re-advertised inside THEIR ttl/3, not the default one. It only
-	// shrinks (re-deriving a rising minimum on every expiry would buy
-	// little and cost a scan); an empty registry resets it.
-	minTTL time.Duration
-
-	// clientScratch and groupScratch are reusable sorted-key buffers for
-	// the fan-out and sweep iterations: a leader-change under 10k
-	// subscribers must not allocate a fresh key slice per publication.
-	// Safe as registry fields because the registry is single-threaded and
-	// nothing downstream of a send re-enters the iterations.
+	// clientScratch is a reusable sorted-key buffer for the fan-out
+	// iterations: a leader-change under 10k subscribers must not allocate
+	// a fresh key slice per publication. Safe as a registry field because
+	// the registry is single-threaded and nothing downstream of a send
+	// re-enters the iterations.
 	clientScratch []id.Process
-	groupScratch  []id.Group
 
 	stopped bool
 }
 
 // New returns an empty registry.
 func New(cfg Config) *Registry {
-	cfg = cfg.withDefaults()
-	r := &Registry{cfg: cfg, groups: make(map[id.Group]*groupPub)}
-	r.shards = make([]*shard, cfg.Shards)
-	for i := range r.shards {
-		r.shards[i] = &shard{clients: make(map[id.Process]*clientSub)}
+	return &Registry{
+		cfg:     cfg.withDefaults(),
+		clients: make(map[id.Process]*clientSub),
+		groups:  make(map[id.Group]*groupPub),
 	}
-	r.sweepTimer = clock.NewTimer(cfg.Clock, r.sweep)
-	return r
-}
-
-// sweepEvery is the sweep timer period: each shard is visited once per
-// minTTL/3 — the re-advertisement cadence that keeps every client's
-// cache fresh through one lost datagram inside its own lease (the
-// per-lease now-lastSnap check prevents over-sending to longer leases).
-func (r *Registry) sweepEvery() time.Duration {
-	ttl := r.minTTL
-	if ttl <= 0 {
-		ttl = r.cfg.DefaultLease
-	}
-	return ttl / 3 / time.Duration(r.cfg.Shards)
-}
-
-// shardFor hashes a client id onto a shard (FNV-1a).
-func (r *Registry) shardFor(p id.Process) *shard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(p); i++ {
-		h ^= uint64(p[i])
-		h *= prime64
-	}
-	return r.shards[h%uint64(len(r.shards))]
 }
 
 // clampTTL applies the registry's lease bounds.
@@ -245,11 +194,7 @@ func (r *Registry) clampTTL(ns int64) time.Duration {
 
 // Stats summarises the current registration state.
 func (r *Registry) Stats() Stats {
-	s := Stats{Leases: r.leases}
-	for _, sh := range r.shards {
-		s.Clients += len(sh.clients)
-	}
-	return s
+	return Stats{Clients: len(r.clients), Leases: r.leases}
 }
 
 // HandleSubscribe registers (or refreshes) one client's subscription and
@@ -281,20 +226,37 @@ func (r *Registry) HandleSubscribe(m *wire.Subscribe) {
 	r.sendSnapshot(l, gp.seq, view)
 }
 
-// HandleRenew extends a lease. An unknown registration (expired, or from a
-// restarted node) is healed by treating the renew as a fresh subscribe —
+// HandleRenew extends a lease, and answers with the current view once the
+// client has gone ttl/6 without a snapshot. That is half the client's
+// ttl/3 renewal period, so a renewing client hears the view at least every
+// ttl/2 and one lost answer still leaves a snapshot inside its lease. A
+// due renewal for a group the node no longer serves (leave publishes
+// tombstones and drops leases, so this should not happen) gets a
+// tombstone and loses its lease. An unknown registration (expired, or from
+// a restarted node) is healed by treating the renew as a fresh subscribe —
 // the client keeps working across server restarts without tracking them.
 func (r *Registry) HandleRenew(m *wire.LeaseRenew) {
 	if r.stopped {
 		return
 	}
 	r.cfg.Obs.Inc(obs.CRenews)
-	sh := r.shardFor(m.Sender)
-	cs := sh.clients[m.Sender]
+	cs := r.clients[m.Sender]
 	if cs != nil && cs.inc == m.Incarnation {
 		if l := cs.leases[m.Group]; l != nil {
 			l.ttl = r.clampTTL(m.TTL)
 			l.timer.Reset(l.ttl)
+			if r.cfg.Clock.Now().Sub(l.lastSnap) < l.ttl/6 {
+				return
+			}
+			view, ok := r.cfg.Leader(m.Group)
+			if !ok {
+				r.sendTombstone(m.Sender, m.Group, View{}, false)
+				r.dropLease(l)
+				return
+			}
+			gp := r.groups[m.Group]
+			gp.seq++
+			r.sendSnapshot(l, gp.seq, view)
 			return
 		}
 	}
@@ -311,8 +273,7 @@ func (r *Registry) HandleUnsubscribe(m *wire.Unsubscribe) {
 		return
 	}
 	r.cfg.Obs.Inc(obs.CUnsubscribes)
-	sh := r.shardFor(m.Sender)
-	cs := sh.clients[m.Sender]
+	cs := r.clients[m.Sender]
 	if cs == nil || cs.inc != m.Incarnation {
 		return
 	}
@@ -392,12 +353,9 @@ func (r *Registry) Stop() {
 		return
 	}
 	r.stopped = true
-	r.sweepTimer.Stop()
-	for _, sh := range r.shards {
-		for _, cs := range sh.clients {
-			for _, l := range cs.leases {
-				l.timer.Stop()
-			}
+	for _, cs := range r.clients {
+		for _, l := range cs.leases {
+			l.timer.Stop()
 		}
 	}
 }
@@ -407,8 +365,7 @@ func (r *Registry) Stop() {
 // full; staleLifetime reports a message from before the client's restart,
 // which callers must ignore entirely.
 func (r *Registry) ensureLease(g id.Group, client id.Process, inc int64, ttlNS int64) (l *lease, staleLifetime bool) {
-	sh := r.shardFor(client)
-	cs := sh.clients[client]
+	cs := r.clients[client]
 	if cs != nil && inc < cs.inc {
 		return nil, true
 	}
@@ -424,13 +381,13 @@ func (r *Registry) ensureLease(g id.Group, client id.Process, inc int64, ttlNS i
 			return nil, false
 		}
 		cs = &clientSub{client: client, inc: inc, leases: make(map[id.Group]*lease)}
-		sh.clients[client] = cs
+		r.clients[client] = cs
 	}
 	l = cs.leases[g]
 	if l == nil {
 		if r.leases >= r.cfg.MaxLeases {
 			if len(cs.leases) == 0 {
-				delete(sh.clients, client)
+				delete(r.clients, client)
 			}
 			return nil, false
 		}
@@ -447,19 +404,6 @@ func (r *Registry) ensureLease(g id.Group, client id.Process, inc int64, ttlNS i
 	}
 	l.ttl = r.clampTTL(ttlNS)
 	l.timer.Reset(l.ttl)
-	if r.minTTL == 0 || l.ttl < r.minTTL {
-		shrunk := r.sweepOn && r.minTTL != 0
-		r.minTTL = l.ttl
-		if shrunk {
-			// A finer cadence is now owed; the pending tick may be a full
-			// old period away.
-			r.sweepTimer.Reset(r.sweepEvery())
-		}
-	}
-	if !r.sweepOn {
-		r.sweepOn = true
-		r.sweepTimer.Reset(r.sweepEvery())
-	}
 	return l, false
 }
 
@@ -472,7 +416,7 @@ func (r *Registry) dropLease(l *lease) {
 	l.timer.Stop()
 	delete(l.sub.leases, l.group)
 	if len(l.sub.leases) == 0 {
-		delete(r.shardFor(l.sub.client).clients, l.sub.client)
+		delete(r.clients, l.sub.client)
 	}
 	if gp := r.groups[l.group]; gp != nil {
 		delete(gp.subs, l.sub.client)
@@ -482,13 +426,6 @@ func (r *Registry) dropLease(l *lease) {
 		// reordered duplicates of its higher last-seen sequence.
 	}
 	r.leases--
-	if r.leases == 0 {
-		r.minTTL = 0
-		if r.sweepOn {
-			r.sweepOn = false
-			r.sweepTimer.Stop()
-		}
-	}
 }
 
 // expire is a lease timer's callback: the lease went a whole ttl
@@ -501,71 +438,6 @@ func (r *Registry) expire(l *lease) {
 	}
 	r.cfg.Obs.Inc(obs.CLeaseExpiries)
 	r.dropLease(l)
-}
-
-// sweep visits one shard per tick, re-advertising the current view to
-// every lease that has not seen a snapshot for ttl/3 — loss repair and
-// freshness bound in one staggered pass, never touching more than
-// 1/shards of the population at once.
-func (r *Registry) sweep() {
-	if r.stopped {
-		return
-	}
-	sh := r.shards[r.sweepShard]
-	r.sweepShard = (r.sweepShard + 1) % len(r.shards)
-	now := r.cfg.Clock.Now()
-	// One tick of slack on the due check: a shard is revisited every
-	// ticks×shards ≈ ttl/3, and without the slack a lease aging to
-	// threshold just after its visit (or a rounding hair under it) waits
-	// a whole extra round — halving the cadence its staleness bound needs.
-	slack := r.sweepEvery()
-	// Views and sequence bumps are resolved at most once per group per
-	// tick; a nil entry marks a group the Leader callback disowned.
-	type tickView struct {
-		seq uint64
-		v   View
-		ok  bool
-	}
-	views := make(map[id.Group]*tickView)
-	r.clientScratch = id.AppendSortedMapKeys(r.clientScratch[:0], sh.clients)
-	for _, c := range r.clientScratch {
-		cs := sh.clients[c]
-		if cs == nil {
-			continue // dropped by an earlier iteration of this tick
-		}
-		r.groupScratch = id.AppendSortedMapKeys(r.groupScratch[:0], cs.leases)
-		for _, g := range r.groupScratch {
-			l := cs.leases[g]
-			if l == nil {
-				continue
-			}
-			if now.Sub(l.lastSnap) < l.ttl/3-slack {
-				continue
-			}
-			tv := views[g]
-			if tv == nil {
-				tv = &tickView{}
-				tv.v, tv.ok = r.cfg.Leader(g)
-				if tv.ok {
-					gp := r.groups[g]
-					gp.seq++
-					tv.seq = gp.seq
-				}
-				views[g] = tv
-			}
-			if !tv.ok {
-				// The node no longer serves g (shouldn't happen: leave
-				// publishes tombstones and drops leases) — heal anyway.
-				r.sendTombstone(c, g, View{}, false)
-				r.dropLease(l)
-				continue
-			}
-			r.sendSnapshot(l, tv.seq, tv.v)
-		}
-	}
-	if r.sweepOn {
-		r.sweepTimer.Reset(r.sweepEvery())
-	}
 }
 
 // viewAt encodes a view's adoption time, mapping the zero time to zero.

@@ -152,7 +152,7 @@ func TestLeaseExpiresUnrenewed(t *testing.T) {
 	if st := h.reg.Stats(); st.Leases != 1 || st.Clients != 1 {
 		t.Fatalf("stats after expiry = %+v, want c2 only", h.reg.Stats())
 	}
-	// Expired client's snapshots stop; c2 keeps receiving sweeps.
+	// Expired client's snapshots stop.
 	h.take()
 	h.eng.RunFor(20 * time.Second)
 	for _, s := range h.take() {
@@ -216,22 +216,62 @@ func TestSeqSurvivesLastSubscriberDropping(t *testing.T) {
 	}
 }
 
-func TestSweepCadenceFollowsShortestLease(t *testing.T) {
-	// A client granted a lease shorter than the default must be
-	// re-advertised inside ITS ttl/3, or it would trip its staleness
-	// deadline every lease period in steady state.
-	h := newHarness(t, Config{MinTTL: time.Second})
-	h.reg.HandleSubscribe(&wire.Subscribe{Group: "g", Sender: "c1", Incarnation: 1, TTL: int64(2 * time.Second)})
-	h.take()
-	// Renew continuously; count snapshots over 12s. Cadence ttl/3 ≈ 666ms
-	// → expect ~18, and certainly enough that no 2s window is dry.
-	for i := 0; i < 48; i++ {
-		h.eng.RunFor(250 * time.Millisecond)
-		h.reg.HandleRenew(&wire.LeaseRenew{Group: "g", Sender: "c1", Incarnation: 1, TTL: int64(2 * time.Second)})
+// renew sends c1's renewal of its 6 s lease on g.
+func (h *harness) renew() {
+	h.reg.HandleRenew(&wire.LeaseRenew{Group: "g", Sender: "c1", Incarnation: 1, TTL: int64(6 * time.Second)})
+}
+
+func TestDueRenewalIsAnswered(t *testing.T) {
+	// A renewal a third of the lease after the last snapshot — the
+	// client's cadence — finds the view ttl/6 old or more and answers it:
+	// the renewal is the client's freshness poll.
+	h := newHarness(t, Config{})
+	h.reg.HandleSubscribe(&wire.Subscribe{Group: "g", Sender: "c1", Incarnation: 1, TTL: int64(6 * time.Second)})
+	first := h.take()[0].m.Seq
+	h.eng.RunFor(2 * time.Second)
+	h.renew()
+	out := h.take()
+	if len(out) != 1 || out[0].to != "c1" || out[0].urgent {
+		t.Fatalf("due renewal answered %+v, want one coalesced snapshot to c1", out)
 	}
-	n := len(h.take())
-	if n < 12 {
-		t.Fatalf("short-lease client got %d re-advertisements over 12s, want ~18 (ttl/3 cadence)", n)
+	if m := out[0].m; m.Tombstone || m.Leader != "w01" || m.Seq <= first || m.Lease != int64(6*time.Second) {
+		t.Fatalf("due renewal answered %+v, want the current view, a later seq and the 6s lease", m)
+	}
+}
+
+func TestFreshRenewalIsSilent(t *testing.T) {
+	// A renewal less than ttl/6 after the client's last snapshot — of any
+	// kind, here a leader-change fan-out — only extends the lease.
+	h := newHarness(t, Config{})
+	h.reg.HandleSubscribe(&wire.Subscribe{Group: "g", Sender: "c1", Incarnation: 1, TTL: int64(6 * time.Second)})
+	h.eng.RunFor(1500 * time.Millisecond)
+	h.reg.PublishLeaderChange("g", h.view)
+	h.take()
+	h.eng.RunFor(500 * time.Millisecond)
+	h.renew()
+	if out := h.take(); len(out) != 0 {
+		t.Fatalf("renewal 500ms after a fan-out answered %+v, want silence (due at ttl/6 = 1s)", out)
+	}
+	// The lease was extended all the same: alive past its first deadline.
+	h.eng.RunFor(5 * time.Second)
+	if st := h.reg.Stats(); st.Leases != 1 {
+		t.Fatalf("silent renewal did not extend the lease: %+v", st)
+	}
+}
+
+func TestDueRenewalOfUnservedGroupGetsTombstone(t *testing.T) {
+	h := newHarness(t, Config{})
+	h.reg.HandleSubscribe(&wire.Subscribe{Group: "g", Sender: "c1", Incarnation: 1, TTL: int64(6 * time.Second)})
+	h.take()
+	h.served["g"] = false
+	h.eng.RunFor(2 * time.Second)
+	h.renew()
+	out := h.take()
+	if len(out) != 1 || out[0].to != "c1" || !out[0].m.Tombstone {
+		t.Fatalf("renewal for an unserved group answered %+v, want one tombstone to c1", out)
+	}
+	if st := h.reg.Stats(); st.Leases != 0 || st.Clients != 0 {
+		t.Fatalf("tombstoned renewal left %+v, want no lease", st)
 	}
 }
 
@@ -248,23 +288,6 @@ func TestClientRestartSupersedesOldLifetime(t *testing.T) {
 	h.reg.HandleUnsubscribe(&wire.Unsubscribe{Group: "g", Sender: "c1", Incarnation: 2})
 	if st := h.reg.Stats(); st.Leases != 0 || st.Clients != 0 {
 		t.Fatalf("unsubscribe left state behind: %+v", st)
-	}
-}
-
-func TestSweepReadvertisesWithinLease(t *testing.T) {
-	h := newHarness(t, Config{DefaultLease: 6 * time.Second})
-	h.reg.HandleSubscribe(&wire.Subscribe{Group: "g", Sender: "c1", Incarnation: 1})
-	h.take()
-	// Keep the lease alive and count sweep-driven snapshots over 30s: the
-	// cadence is one per ttl/3 = 2s, so expect roughly 15 (one may be in
-	// flight at either edge).
-	for i := 0; i < 30; i++ {
-		h.eng.RunFor(time.Second)
-		h.reg.HandleRenew(&wire.LeaseRenew{Group: "g", Sender: "c1", Incarnation: 1})
-	}
-	n := len(h.take())
-	if n < 12 || n > 18 {
-		t.Fatalf("sweep sent %d re-advertisements over 30s, want ~15 (ttl/3 cadence)", n)
 	}
 }
 
@@ -333,31 +356,6 @@ func TestTTLClamping(t *testing.T) {
 		if len(out) != 1 || out[0].m.Lease != int64(c.want) {
 			t.Errorf("TTL %d granted %v, want %v", c.req, time.Duration(out[0].m.Lease), c.want)
 		}
-	}
-}
-
-func TestShardingSpreadsSweepLoad(t *testing.T) {
-	// With many clients, a single sweep tick must not re-advertise the
-	// whole population at once: that is the burst the sharding exists to
-	// prevent.
-	h := newHarness(t, Config{Shards: 8, DefaultLease: 6 * time.Second})
-	const clients = 200
-	for i := 0; i < clients; i++ {
-		h.reg.HandleSubscribe(&wire.Subscribe{
-			Group: "g", Sender: id.Process(fmt.Sprintf("c%03d", i)), Incarnation: 1,
-		})
-	}
-	h.take()
-	// Nothing is due before ttl/3 = 2s; the first tick past that covers
-	// exactly one shard, so expect ~clients/8 sends — never a burst that
-	// touches most of the population at once.
-	h.eng.RunFor(2*time.Second + h.reg.sweepEvery()/2)
-	perTick := len(h.take())
-	if perTick == 0 {
-		t.Fatal("no sweep traffic at all")
-	}
-	if perTick > clients/2 {
-		t.Fatalf("one stagger window re-advertised %d of %d clients: sweep is not sharded", perTick, clients)
 	}
 }
 

@@ -35,10 +35,10 @@
 //	UNSUBSCRIBE      a client withdraws its subscription
 //	LEADER_SNAPSHOT  the service's answer: the node's current leader view,
 //	                 the granted lease, and a per-group sequence number;
-//	                 doubles as the periodic re-advertisement and, with the
+//	                 doubles as the answer to a due renewal and, with the
 //	                 tombstone flag, as the "stop asking me" goodbye
-//	LEASE_RENEW      a client extends its lease without provoking an
-//	                 immediate snapshot
+//	LEASE_RENEW      a client extends its lease; answered with a snapshot
+//	                 only when the client has had none for lease/6
 //
 // Three further kinds implement warm-standby leadership and planned
 // handover (the proactive-failover plane):
@@ -276,10 +276,10 @@ type Unsubscribe struct {
 
 // LeaderSnapshot is the service's client-bound answer: one node's current
 // leadership view of Group. It is sent on subscription, on every local
-// leader change, periodically as re-advertisement (so a lost change
-// snapshot heals within the lease), and with Tombstone set when the node
-// stops serving the group (graceful leave or shutdown) — the signal for
-// clients to fail over to another endpoint.
+// leader change, in answer to a renewal that finds the client's last
+// snapshot lease/6 old (so a lost change snapshot heals within lease/2),
+// and with Tombstone set when the node stops serving the group (graceful
+// leave or shutdown) — the signal for clients to fail over.
 type LeaderSnapshot struct {
 	Group       id.Group
 	Sender      id.Process // the service node answering
@@ -304,10 +304,12 @@ type LeaderSnapshot struct {
 	Lease int64
 }
 
-// LeaseRenew extends Sender's existing subscription lease on Group without
-// provoking an immediate snapshot — the cheap steady-state keepalive.
-// A renew for an unknown (expired, superseded) registration is answered
-// like a fresh Subscribe, so a client that raced an expiry heals itself.
+// LeaseRenew extends Sender's existing subscription lease on Group — the
+// client plane's one periodic exchange. It is answered with a snapshot
+// only when the client has had none for lease/6, so a renewal every
+// lease/3 doubles as the client's freshness poll. A renew for an unknown
+// (expired, superseded) registration is answered like a fresh Subscribe,
+// so a client that raced an expiry heals itself.
 type LeaseRenew struct {
 	Group       id.Group
 	Sender      id.Process

@@ -89,9 +89,9 @@ func WithShards(n int) Option {
 // SUBSCRIBE/LEASE_RENEW/UNSUBSCRIBE messages from non-member processes
 // (see the client package) and keeps them informed of leadership through
 // lease-bounded LEADER_SNAPSHOT messages — fan-out on leader changes plus
-// staggered re-advertisement, coalesced per client. Graceful departures
-// (Group.Leave, Close) send final tombstone snapshots so subscribed
-// clients fail over immediately.
+// an answer to any renewal that finds the client's view lease/6 old,
+// coalesced per client. Graceful departures (Group.Leave, Close) send
+// final tombstone snapshots so subscribed clients fail over immediately.
 func WithClientPlane() Option {
 	return func(c *serviceConfig) error {
 		c.clientPlane = true

@@ -90,7 +90,7 @@ func newSatHarness(b *testing.B, shards int) *satHarness {
 		}
 	}
 	// M clients lease every group (the client-plane population whose
-	// renewals and background re-advertisement sweeps ride the loops).
+	// renewals and the snapshots answering them ride the loops).
 	for c := 0; c < satClients; c++ {
 		for _, g := range all {
 			svc.deliver(wire.MarshalAppend(nil, &wire.Subscribe{

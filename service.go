@@ -206,7 +206,7 @@ func New(self id.Process, tr transport.Transport, opts ...Option) (*Service, err
 			core.WithObs(sh.obs),
 		}
 		if cfg.clientPlane {
-			nodeOpts = append(nodeOpts, core.WithClientPlane(subs.Config{}))
+			nodeOpts = append(nodeOpts, core.WithClientPlane())
 		}
 		sh.node = core.NewNode(self, rt, nodeOpts...)
 		s.shards[i] = sh

@@ -23,7 +23,6 @@ import (
 	"stableleader/internal/election"
 	"stableleader/internal/metrics"
 	"stableleader/internal/simnet"
-	"stableleader/internal/subs"
 	"stableleader/qos"
 )
 
@@ -422,7 +421,7 @@ func (cl *cluster) start(p id.Process, candidate bool) {
 	}
 	nodeOpts := []core.NodeOption{core.WithCoalescing(!cl.sc.DisableCoalescing)}
 	if cl.sc.Clients > 0 {
-		nodeOpts = append(nodeOpts, core.WithClientPlane(subs.Config{}))
+		nodeOpts = append(nodeOpts, core.WithClientPlane())
 	}
 	node := core.NewNode(p, rt, nodeOpts...)
 	cl.nodes[p] = node
