@@ -7,6 +7,8 @@ package transport
 // contract.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
@@ -229,5 +231,125 @@ func TestIOStatsCountsClassicPath(t *testing.T) {
 	}
 	if rst.RecvSyscalls != rst.RecvDatagrams {
 		t.Errorf("classic path must be one syscall per datagram: %+v", rst)
+	}
+}
+
+// TestUDPLargeDatagramInAnySlot sends a datagram of nearly maxDatagram
+// into every position the batched read loop can give it — the middle and
+// the end of a queued burst, read through slots the ring has just grown,
+// and first after the ring has shrunk back on a quiet socket — and wants
+// it delivered byte-identical each time: no slot passed to the kernel is
+// ever shorter than maxDatagram.
+func TestUDPLargeDatagramInAnySlot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets in -short mode")
+	}
+	const big = 60 * 1024
+	for _, mode := range batchModes {
+		t.Run(mode.name, func(t *testing.T) {
+			recv, err := NewUDP("127.0.0.1:0", nil, mode.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer recv.Close()
+			// payload i carries its sequence number, and byte 4 marks a
+			// burst head, which the handler stalls on until the rest of the
+			// burst is queued in the socket.
+			var mu sync.Mutex
+			got := map[int][]byte{}
+			headIn, release := make(chan struct{}, 1), make(chan struct{})
+			defer close(release) // before Close, which waits for a stalled handler
+			recv.Receive(func(p []byte) {
+				mu.Lock()
+				got[int(binary.BigEndian.Uint32(p))] = append([]byte(nil), p...)
+				mu.Unlock()
+				if p[4] == 1 {
+					headIn <- struct{}{}
+					<-release
+				}
+			})
+			send, err := NewUDP("127.0.0.1:0", map[id.Process]string{
+				"r": recv.LocalAddr().String(),
+			}, mode.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer send.Close()
+
+			var want [][]byte
+			emit := func(size int, head bool) {
+				p := make([]byte, size)
+				seq := len(want)
+				binary.BigEndian.PutUint32(p, uint32(seq))
+				if head {
+					p[4] = 1
+				}
+				for i := 5; i < size; i++ {
+					p[i] = byte(i*7 + seq)
+				}
+				want = append(want, p)
+				if err := send.Send("r", p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor := func(n int) {
+				t.Helper()
+				deadline := time.Now().Add(5 * time.Second)
+				for {
+					mu.Lock()
+					have := len(got)
+					mu.Unlock()
+					if have >= n {
+						return
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("delivered %d of %d datagrams", have, n)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			// burst queues 40 datagrams behind a stalled head, the large one
+			// at index bigAt.
+			burst := func(bigAt int) {
+				emit(64, true)
+				select {
+				case <-headIn:
+				case <-time.After(5 * time.Second):
+					t.Fatal("burst head not delivered")
+				}
+				for i := 1; i < 40; i++ {
+					size := 64
+					if i == bigAt {
+						size = big
+					}
+					emit(size, false)
+				}
+				release <- struct{}{}
+				waitFor(len(want))
+			}
+			burst(20)
+			burst(39)
+			// At rest, one datagram at a time, the ring shrinks to its floor
+			// (64 calls: twice the widest ring).
+			for i := 0; i < 64; i++ {
+				emit(64, false)
+				waitFor(len(want))
+			}
+			if recv.BatchIO() {
+				if w := recv.io.recvSlots.Load(); w != 2 {
+					t.Fatalf("ring holds %d buffers at rest, want 2", w)
+				}
+			}
+			emit(big, false)
+			waitFor(len(want))
+
+			mu.Lock()
+			defer mu.Unlock()
+			for seq, p := range want {
+				if !bytes.Equal(got[seq], p) {
+					t.Errorf("datagram %d (%d bytes): delivered %d bytes, not byte-identical", seq, len(p), len(got[seq]))
+				}
+			}
+		})
 	}
 }

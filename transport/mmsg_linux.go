@@ -6,13 +6,14 @@ import (
 	"errors"
 	"net"
 	"net/netip"
+	"sync/atomic"
 	"syscall"
 	"unsafe"
 )
 
 // This file is the Linux fast path of the syscall-batched packet plane:
 // recvmmsg(2) drains up to mmsgRecvBatch datagrams per kernel crossing
-// into a pinned ring of pooled buffers, sendmmsg(2) ships a whole vector
+// into a load-sized ring of pooled buffers, sendmmsg(2) ships a whole vector
 // of datagrams per crossing, and UDP_SEGMENT (GSO) lets the kernel
 // segment a run of equal-size datagrams to one destination out of a
 // single super-datagram. Everything here is reached only through the
@@ -25,9 +26,9 @@ import (
 // build (mmsg_other.go) pins it false and the stubs unreachable.
 const mmsgSupported = true
 
-// mmsgRecvBatch is the receive vector width: how many datagrams one
-// recvmmsg may drain. 32 amortizes the syscall to noise under load while
-// keeping the pinned buffer ring (32 × 64 KiB) modest.
+// mmsgRecvBatch is the widest receive vector: how many datagrams one
+// recvmmsg may drain. 32 amortizes the syscall to noise under load; at
+// rest the ring keeps two 64 KiB buffers, not 32 (see mmsgReader.fit).
 const mmsgRecvBatch = 32
 
 // GSO limits: a super-datagram coalesces at most gsoMaxSegs equal-size
@@ -142,18 +143,22 @@ func sockaddrToAddrPort(b *sockaddrBuf) netip.AddrPort {
 	return netip.AddrPort{}
 }
 
-// mmsgReader is one read loop's recvmmsg state: a ring of pooled payload
-// buffers pinned for the loop's lifetime, with the iovec/msghdr vectors
-// pointing into them. The ring is reused in place across syscalls — the
-// Receive handler contract (payload not retained after return) is what
-// makes that safe, exactly as it makes the classic loop's single pooled
-// buffer safe.
+// mmsgReader is one read loop's recvmmsg state: a ring of slots whose
+// first width each hold a pooled payload buffer, with the iovec/msghdr
+// vectors pointing into them. A buffer stays in its slot across syscalls
+// — the Receive handler contract (payload not retained after return) is
+// what makes that safe, exactly as it makes the classic loop's single
+// pooled buffer safe.
 type mmsgReader struct {
 	rc    syscall.RawConn
 	bufs  [mmsgRecvBatch]*[]byte
 	iovs  [mmsgRecvBatch]syscall.Iovec
 	names [mmsgRecvBatch]sockaddrBuf
 	hdrs  [mmsgRecvBatch]mmsghdr
+
+	width   int           // slots [0, width) hold a buffer
+	drained int           // consecutive calls that used at most half of them
+	slots   *atomic.Int64 // gauges width
 
 	// call is r.recvmmsg bound once, and n/errno are where it leaves the
 	// syscall's results: a closure built per rc.Read, with captured
@@ -163,36 +168,75 @@ type mmsgReader struct {
 	errno syscall.Errno
 }
 
-// newMmsgReader builds the ring for one socket; nil when the socket
-// cannot expose its descriptor (the caller then runs the classic loop).
-func newMmsgReader(conn *net.UDPConn) *mmsgReader {
+// newMmsgReader builds one socket's ring, two slots filled; nil when the
+// socket cannot expose its descriptor (the caller then runs the classic loop).
+func newMmsgReader(conn *net.UDPConn, slots *atomic.Int64) *mmsgReader {
 	rc, err := conn.SyscallConn()
 	if err != nil {
 		return nil
 	}
-	r := &mmsgReader{rc: rc}
+	r := &mmsgReader{rc: rc, slots: slots}
 	r.call = r.recvmmsg
 	for i := range r.hdrs {
-		bp := getPayloadBuf()
-		r.bufs[i] = bp //leadervet:handoff — ring slot owns the buffer until release()
-		r.iovs[i].Base = &(*bp)[0]
-		r.iovs[i].SetLen(len(*bp))
 		h := &r.hdrs[i].hdr
 		h.Name = &r.names[i][0]
 		h.Iov = &r.iovs[i]
 		h.Iovlen = 1
 	}
+	r.resize(2)
 	return r
 }
 
+// fit sizes the ring by the last call's n datagrams. A call that filled
+// every slot may have left more queued: the width doubles, up to
+// mmsgRecvBatch. One that used at most half found the socket drained;
+// from the second such call in a row, each gives one buffer back to the
+// pool, down to two slots, so a lone datagram never fills the ring.
+// Shrinking one slot at a time keeps the width across the gaps of a
+// burst, and a flood's odd drained call shrinks nothing.
+//
+//leadervet:hotpath
+func (r *mmsgReader) fit(n int) {
+	w := r.width
+	if 2*n > w {
+		r.drained = 0
+		if n == w && w < mmsgRecvBatch {
+			r.resize(min(2*w, mmsgRecvBatch))
+		}
+	} else if r.drained++; r.drained > 1 && w > 2 {
+		r.resize(w - 1)
+	}
+}
+
+// resize fills or empties slots until exactly the first w hold a buffer;
+// w = 0 returns them all when the loop ends. An emptied slot keeps no
+// pointer into its buffer, so one the pool drops is freed.
+//
+//leadervet:hotpath
+func (r *mmsgReader) resize(w int) {
+	for i := r.width; i < w; i++ {
+		bp := getPayloadBuf()
+		r.bufs[i] = bp //leadervet:handoff — the slot owns the buffer until resize empties it
+		r.iovs[i].Base = &(*bp)[0]
+		r.iovs[i].SetLen(len(*bp))
+	}
+	for i := w; i < r.width; i++ {
+		putPayloadBuf(r.bufs[i])
+		r.bufs[i] = nil
+		r.iovs[i].Base = nil
+	}
+	r.width = w
+	r.slots.Store(int64(w))
+}
+
 // recv blocks on the netpoller until the socket is readable, then drains
-// up to mmsgRecvBatch datagrams in one syscall. It returns the datagram
-// count; the error is the poller's (socket closed) or a raw errno, which
-// the caller classifies for the downgrade ladder.
+// up to width datagrams in one syscall. It returns the datagram count;
+// the error is the poller's (socket closed) or a raw errno, which the
+// caller classifies for the downgrade ladder.
 //
 //leadervet:hotpath
 func (r *mmsgReader) recv() (int, error) {
-	for i := range r.hdrs {
+	for i := range r.width {
 		// Restore the fields the kernel overwrites per call.
 		r.hdrs[i].hdr.Namelen = sockaddrBufLen
 		r.hdrs[i].hdr.Flags = 0
@@ -212,12 +256,13 @@ func (r *mmsgReader) recv() (int, error) {
 	}
 }
 
-// recvmmsg is the netpoller callback of recv: one non-blocking syscall,
-// false (wait for readability, call again) when the socket is empty.
+// recvmmsg is the netpoller callback of recv: one non-blocking syscall
+// over the filled slots, false (wait for readability, call again) when
+// the socket is empty.
 //
 //leadervet:hotpath
 func (r *mmsgReader) recvmmsg(fd uintptr) bool {
-	r.n, r.errno = recvmmsgFn(fd, r.hdrs[:], syscall.MSG_DONTWAIT)
+	r.n, r.errno = recvmmsgFn(fd, r.hdrs[:r.width], syscall.MSG_DONTWAIT)
 	return r.errno != syscall.EAGAIN
 }
 
@@ -234,17 +279,6 @@ func (r *mmsgReader) payload(i int) []byte {
 //leadervet:hotpath
 func (r *mmsgReader) src(i int) netip.AddrPort {
 	return sockaddrToAddrPort(&r.names[i])
-}
-
-// release returns the ring's buffers to the payload pool when the loop
-// ends (socket closed or downgrade).
-func (r *mmsgReader) release() {
-	for i, bp := range r.bufs {
-		if bp != nil {
-			putPayloadBuf(bp)
-			r.bufs[i] = nil
-		}
-	}
 }
 
 // sendVec is the per-call sendmmsg scratch inside a pooled sendScratch:

@@ -11,6 +11,7 @@ package transport
 import (
 	"fmt"
 	"net/netip"
+	"runtime"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -109,6 +110,75 @@ func TestMmsgRecvBatchingUnderBurst(t *testing.T) {
 	t.Logf("recv %d datagrams in %d syscalls (%.1f packets/syscall)", st.RecvDatagrams, st.RecvSyscalls, ratio)
 	if ratio <= 1 {
 		t.Errorf("packets per recv syscall = %.2f, want > 1 under a queued burst", ratio)
+	}
+
+	// The burst widened the ring. Once the socket is quiet, each call
+	// reads one datagram and gives one buffer back, down to the floor.
+	if w := recv.io.recvSlots.Load(); w <= 2 {
+		t.Errorf("ring holds %d buffers right after a queued burst, want it grown", w)
+	}
+	for i := 0; i < 2*mmsgRecvBatch; i++ {
+		want := delivered.Load() + 1
+		if err := send.Send("r", payload); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(2 * time.Second); delivered.Load() < want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("quiet datagram %d not delivered", i)
+			}
+		}
+	}
+	if w := recv.io.recvSlots.Load(); w != 2 {
+		t.Errorf("ring holds %d buffers on a quiet socket, want its floor of 2", w)
+	}
+}
+
+// TestMmsgIdleRingHeap pins what an idle socket costs: sixteen UDP
+// transports that have each read one datagram hold at most four 64 KiB
+// buffers apiece in live heap. A ring pinned at full width holds 32.
+func TestMmsgIdleRingHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets in -short mode")
+	}
+	const socks = 16
+	send, err := NewUDP("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC() // the second cycle frees what the pool's victim cache held
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := liveHeap()
+	var delivered atomic.Int64
+	for i := 0; i < socks; i++ {
+		recv, err := NewUDP("127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer recv.Close()
+		recv.Receive(func([]byte) { delivered.Add(1) })
+		p := id.Process(fmt.Sprint("r", i))
+		if err := send.SetPeer(p, recv.LocalAddr().String()); err != nil {
+			t.Fatal(err)
+		}
+		if err := send.Send(p, []byte("one")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); delivered.Load() < socks; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("delivered %d of %d datagrams", delivered.Load(), socks)
+		}
+	}
+	grew := liveHeap() - before
+	t.Logf("%d idle sockets: live heap +%d KiB", socks, grew/1024)
+	if limit := int64(socks * 4 * maxDatagram); grew > limit {
+		t.Errorf("%d idle sockets hold %d KiB of live heap, want at most %d KiB", socks, grew/1024, limit/1024)
 	}
 }
 

@@ -5,6 +5,7 @@ package transport
 import (
 	"net"
 	"net/netip"
+	"sync/atomic"
 )
 
 // Portable stand-ins for the Linux syscall-batched packet plane. With
@@ -19,12 +20,13 @@ func mmsgDowngradeError(error) bool { return false }
 
 type mmsgReader struct{}
 
-func newMmsgReader(*net.UDPConn) *mmsgReader { return nil }
+func newMmsgReader(*net.UDPConn, *atomic.Int64) *mmsgReader { return nil }
 
 func (r *mmsgReader) recv() (int, error)     { return 0, nil }
+func (r *mmsgReader) fit(int)                {}
 func (r *mmsgReader) payload(int) []byte     { return nil }
 func (r *mmsgReader) src(int) netip.AddrPort { return netip.AddrPort{} }
-func (r *mmsgReader) release()               {}
+func (r *mmsgReader) resize(int)             {}
 
 // sendVec carries no state on portable builds; sendScratch embeds it so
 // the pooled scratch type is the same shape everywhere.

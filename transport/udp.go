@@ -44,7 +44,7 @@ var payloadPool = sync.Pool{
 }
 
 // getPayloadBuf takes one receive buffer from the pool. The batched read
-// loop pins a ring of these for its lifetime; the classic loop cycles
+// loop pins as many of these as its load fills; the classic loop cycles
 // one per datagram.
 //
 //leadervet:acquires
@@ -92,6 +92,8 @@ type ioCounters struct {
 	sendDatagrams atomic.Int64
 	gsoBatches    atomic.Int64
 	gsoSegments   atomic.Int64
+	// recvSlots gauges the batched read loop's filled ring slots.
+	recvSlots atomic.Int64
 }
 
 // UDP is the real-network transport: one UDP socket per process, read
@@ -290,17 +292,17 @@ func (u *UDP) readLoop() {
 }
 
 // readLoopBatched drains up to mmsgRecvBatch datagrams per syscall into
-// a pinned buffer ring and delivers each through the handler contract.
+// a load-sized buffer ring and delivers each through the handler contract.
 // Returns true when the loop is done (socket closed), false to demote to
 // the classic loop.
 //
 //leadervet:hotpath
 func (u *UDP) readLoopBatched() bool {
-	r := newMmsgReader(u.conn)
+	r := newMmsgReader(u.conn, &u.io.recvSlots)
 	if r == nil {
 		return false
 	}
-	defer r.release()
+	defer r.resize(0)
 	for {
 		n, err := r.recv()
 		if err != nil {
@@ -321,6 +323,7 @@ func (u *UDP) readLoopBatched() bool {
 				h(r.payload(i), r.src(i))
 			}
 		}
+		r.fit(n)
 	}
 }
 
