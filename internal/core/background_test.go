@@ -23,7 +23,7 @@ type sent struct {
 func (s sent) background() bool {
 	for _, m := range s.msgs {
 		switch m.(type) {
-		case *wire.Hello, *wire.Rate:
+		case *wire.Hello, *wire.HelloDigest, *wire.Rate:
 		default:
 			return false
 		}
@@ -45,8 +45,8 @@ func tapCluster(t *testing.T, procs ...id.Process) (*cluster, *[]sent) {
 	return c, &log
 }
 
-// hellos counts the HELLOs of group g that from sent to to ("" = anyone)
-// in the datagrams logged since index i.
+// hellos counts the gossip of group g — HELLOs and HELLO_DIGESTs — that
+// from sent to to ("" = anyone) in the datagrams logged since index i.
 func hellos(log []sent, i int, from, to id.Process, g id.Group) int {
 	n := 0
 	for _, s := range log[i:] {
@@ -54,8 +54,11 @@ func hellos(log []sent, i int, from, to id.Process, g id.Group) int {
 			continue
 		}
 		for _, m := range s.msgs {
-			if h, ok := m.(*wire.Hello); ok && h.Group == g {
-				n++
+			switch m.(type) {
+			case *wire.Hello, *wire.HelloDigest:
+				if m.GroupID() == g {
+					n++
+				}
 			}
 		}
 	}

@@ -2,7 +2,7 @@
 // single-threaded state machine of Figure 2 of the paper. One Node runs per
 // process; it multiplexes any number of groups, each owning
 //
-//   - a Group Maintenance instance (membership table + HELLO gossip +
+//   - a Group Maintenance instance (membership table + digest gossip +
 //     JOIN/LEAVE handling),
 //   - a Failure Detector instance per fellow member (Chen et al. monitors
 //     sharing per-remote link estimators across groups),
@@ -541,6 +541,8 @@ func (n *Node) handleOne(m wire.Message) {
 		gs.handleLeave(t)
 	case *wire.Hello:
 		gs.handleHello(t)
+	case *wire.HelloDigest:
+		gs.handleHelloDigest(t)
 	case *wire.Alive:
 		gs.handleAlive(t)
 	case *wire.Accuse:

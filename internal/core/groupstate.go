@@ -19,7 +19,7 @@ const (
 	joinAnnounceCount = 4
 	joinAnnounceEvery = 300 * time.Millisecond
 
-	// gossipFanout is how many members each HELLO round targets.
+	// gossipFanout is how many members each gossip round targets.
 	gossipFanout = 3
 
 	// minRate/maxRate clamp RATE requests from remote monitors so a
@@ -38,7 +38,7 @@ const (
 	standbyRefreshEvery = time.Second
 
 	// standbyLivenessFactor scales HelloInterval into the window within
-	// which a silent follower must have been heard (HELLO gossip, RATE
+	// which a silent follower must have been heard (gossip digests, RATE
 	// requests, ...) to stay nominable. ΩL followers stop heartbeating on
 	// purpose, so the failure detector legitimately distrusts them and
 	// group-maintenance traffic is the only liveness signal left.
@@ -109,15 +109,19 @@ type groupState struct {
 	membersVersion uint64
 	membersValid   bool
 
-	// helloCache is the HELLO for table version helloVersion: a HELLO is
-	// immutable once built, so every gossip round and greeting between two
-	// table changes shares one. gossipPeers and statusScratch are the
-	// gossip round's and the status snapshot's working slices, kept so the
-	// periodic duties allocate nothing.
-	helloCache    *wire.Hello    //leadervet:loopOwned
-	helloVersion  uint64         //leadervet:loopOwned
-	gossipPeers   []id.Process   //leadervet:loopOwned
-	statusScratch []MemberStatus //leadervet:loopOwned
+	// helloCache is the HELLO for table version helloVersion and
+	// digestCache its HELLO_DIGEST: both are immutable once built, so every
+	// gossip round, greeting and reply between two table changes shares
+	// them. helloSentTo is when each peer was last answered with the full
+	// HELLO, the bound of the reply rule. gossipPeers and statusScratch are
+	// the gossip round's and the status snapshot's working slices, kept so
+	// the periodic duties allocate nothing.
+	helloCache    *wire.Hello              //leadervet:loopOwned
+	digestCache   *wire.HelloDigest        //leadervet:loopOwned
+	helloVersion  uint64                   //leadervet:loopOwned
+	helloSentTo   map[id.Process]time.Time //leadervet:loopOwned
+	gossipPeers   []id.Process             //leadervet:loopOwned
+	statusScratch []MemberStatus           //leadervet:loopOwned
 
 	helloTimer clock.Rearmer
 	joinTimer  clock.Rearmer
@@ -130,12 +134,13 @@ var _ election.Env = (*groupState)(nil)
 
 func newGroupState(n *Node, gid id.Group, opts JoinOptions) *groupState {
 	gs := &groupState{
-		n:        n,
-		gid:      gid,
-		opts:     opts,
-		table:    group.NewTable(),
-		monitors: make(map[id.Process]*monitorEntry),
-		dests:    make(map[id.Process]*destState),
+		n:           n,
+		gid:         gid,
+		opts:        opts,
+		table:       group.NewTable(),
+		monitors:    make(map[id.Process]*monitorEntry),
+		dests:       make(map[id.Process]*destState),
+		helloSentTo: make(map[id.Process]time.Time),
 	}
 	gs.helloTimer = clock.NewTimer(n.rt, gs.helloTick)
 	gs.joinTimer = clock.NewTimer(n.rt, gs.announceJoin)
@@ -492,10 +497,19 @@ func (gs *groupState) helloTick() {
 	gs.nominateStandby()
 }
 
-// gossip sends the membership table to a few random members.
+// gossip sends the digest of the membership table to a few random
+// members; a member whose table differs answers with its own full HELLO
+// (see handleHelloDigest), so the table itself travels only on change.
+// The round also forgets the replies old enough not to bound the next.
 //
 //leadervet:onLoop
 func (gs *groupState) gossip() {
+	now := gs.n.rt.Now()
+	for p, at := range gs.helloSentTo {
+		if now.Sub(at) >= gs.opts.HelloInterval {
+			delete(gs.helloSentTo, p)
+		}
+	}
 	peers := gs.gossipPeers[:0]
 	for _, m := range gs.Members() {
 		if m.ID != gs.n.self {
@@ -508,15 +522,25 @@ func (gs *groupState) gossip() {
 	}
 	rng := gs.n.rt.Rand()
 	rng.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
-	hello := gs.hello()
+	digest := gs.digest()
 	for _, p := range peers[:min(gossipFanout, len(peers))] {
-		gs.n.sendBackground(p, hello, gs.opts.HelloInterval)
+		gs.n.sendBackground(p, digest, gs.opts.HelloInterval)
 	}
 }
 
+// digest returns the HELLO_DIGEST of our membership table, built and
+// cached together with the HELLO it summarises.
+//
+//leadervet:onLoop
+func (gs *groupState) digest() *wire.HelloDigest {
+	gs.hello()
+	return gs.digestCache
+}
+
 // hello returns the HELLO carrying our full membership table, built once
-// per table version: it is immutable, so its targets — and every round
-// until the table changes — share it like the targets of a JOIN do.
+// per table version together with its digest: both are immutable, so
+// their targets — and every round until the table changes — share them
+// like the targets of a JOIN do.
 //
 //leadervet:onLoop
 func (gs *groupState) hello() *wire.Hello {
@@ -539,16 +563,65 @@ func (gs *groupState) hello() *wire.Hello {
 		Incarnation: gs.n.inc,
 		Members:     members,
 	}
+	gs.digestCache = &wire.HelloDigest{
+		Group:       gs.gid,
+		Sender:      gs.n.self,
+		Incarnation: gs.n.inc,
+		Digest:      wire.TableDigest(members),
+	}
 	gs.helloVersion = gs.table.Version()
 	return gs.helloCache
+}
+
+// answerHello sends p our full HELLO: the answer to a digest that differs
+// from ours, or to a HELLO that lacks some of our table. Because the
+// table is a state CRDT, an exchange is at most digest → HELLO → HELLO
+// and leaves both tables equal. Answers to one peer are bounded to one
+// per HelloInterval, so a peer whose digest never matches ours (hostile,
+// colliding, or of another version) costs no more than full-table gossip.
+//
+//leadervet:onLoop
+func (gs *groupState) answerHello(p id.Process) {
+	if gs.stopped {
+		return
+	}
+	now := gs.n.rt.Now()
+	if at, ok := gs.helloSentTo[p]; ok && now.Sub(at) < gs.opts.HelloInterval {
+		return
+	}
+	gs.helloSentTo[p] = now
+	gs.n.sendBackground(p, gs.hello(), gs.opts.HelloInterval)
+}
+
+// covers reports whether rows — a HELLO already merged into our table —
+// are exactly our table: as many rows, in strictly increasing id order
+// (so none counts twice), each equal to ours.
+func (gs *groupState) covers(rows []wire.MemberInfo) bool {
+	if len(rows) != gs.table.Len() {
+		return false
+	}
+	for i, r := range rows {
+		if i > 0 && rows[i-1].ID >= r.ID {
+			return false
+		}
+		if m, ok := gs.table.Get(r.ID); !ok || m != memberOf(r) {
+			return false
+		}
+	}
+	return true
+}
+
+// memberOf is the table row a HELLO row stands for.
+func memberOf(r wire.MemberInfo) group.Member {
+	return group.Member{ID: r.ID, Incarnation: r.Incarnation, Candidate: r.Candidate, Left: r.Left}
 }
 
 // --- message handlers -----------------------------------------------------
 
 // noteHeard records group traffic from p as liveness evidence for standby
 // nomination: ΩL followers stop heartbeating on purpose, so the failure
-// detector legitimately distrusts them and HELLO/RATE receipt is the only
-// signal that they are still there.
+// detector legitimately distrusts them and gossip (digests above all) and
+// RATE receipt are the only signal that they are still there.
 func (gs *groupState) noteHeard(p id.Process, inc int64) {
 	if entry, ok := gs.monitors[p]; ok && entry.inc == inc {
 		entry.lastHeard = gs.n.rt.Now()
@@ -589,17 +662,26 @@ func (gs *groupState) handleHello(m *wire.Hello) {
 	// value): a HELLO, one per peer per gossip round, allocates nothing.
 	changed := false
 	for _, r := range m.Members {
-		if gs.table.Upsert(group.Member{
-			ID:          r.ID,
-			Incarnation: r.Incarnation,
-			Candidate:   r.Candidate,
-			Left:        r.Left,
-		}) {
+		if gs.table.Upsert(memberOf(r)) {
 			changed = true
 		}
 	}
 	if changed {
 		gs.onMembershipChange()
+	}
+	if !gs.covers(m.Members) {
+		gs.answerHello(m.Sender)
+	}
+}
+
+// handleHelloDigest takes a gossip round's digest as liveness evidence
+// and answers one that differs from ours with our full HELLO.
+//
+//leadervet:hotpath
+func (gs *groupState) handleHelloDigest(m *wire.HelloDigest) {
+	gs.noteHeard(m.Sender, m.Incarnation)
+	if m.Digest != gs.digest().Digest {
+		gs.answerHello(m.Sender)
 	}
 }
 
@@ -921,7 +1003,7 @@ func (gs *groupState) nominateStandby() {
 // bestFollower picks the standby: the live candidate follower with the best
 // link to us, preferring failure-detector trust, then lowest estimated loss,
 // then lowest mean delay, then smallest id. Under ΩL followers are silent on
-// purpose, so untrusted members heard from recently (HELLO gossip, RATE)
+// purpose, so untrusted members heard from recently (gossip, RATE)
 // remain eligible. Under Ωid the handover carries no rank, and the LEAVE
 // that follows elects the smallest remaining id — nominate exactly that so
 // the successor hint matches what the group will actually do.

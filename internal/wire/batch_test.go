@@ -312,7 +312,7 @@ func TestWarmDecoderMatchesFresh(t *testing.T) {
 	for _, m := range sampleMessages() {
 		covered[m.Kind()] = true
 	}
-	for k := KindHello; k <= KindSuccessorHint; k++ {
+	for k := KindHello; k <= KindHelloDigest; k++ {
 		if !covered[k] {
 			t.Fatalf("sampleMessages has no %s: the warm-up below would not dirty its freelist", k)
 		}
@@ -327,7 +327,7 @@ func TestWarmDecoderMatchesFresh(t *testing.T) {
 		&Subscribe{Group: "q", Sender: "p"}, &Unsubscribe{Group: "q", Sender: "p"},
 		&LeaderSnapshot{Group: "q", Sender: "p"}, &LeaseRenew{Group: "q", Sender: "p"},
 		&Standby{Group: "q", Sender: "p"}, &Handover{Group: "q", Sender: "p"},
-		&SuccessorHint{Group: "q", Sender: "p"},
+		&SuccessorHint{Group: "q", Sender: "p"}, &HelloDigest{Group: "q", Sender: "p"},
 		// One row where loud's HELLO had three: the tail must be gone.
 		&Hello{Group: "q", Sender: "p", Members: []MemberInfo{{ID: "r", Incarnation: 1}}},
 	}

@@ -36,6 +36,7 @@ type store struct {
 	standbys   freelist[Standby]
 	handovers  freelist[Handover]
 	hints      freelist[SuccessorHint]
+	digests    freelist[HelloDigest]
 }
 
 // freelist recycles the structs of one message kind.
@@ -196,6 +197,8 @@ func (st *store) release(m Message) {
 		st.handovers.put(t)
 	case *SuccessorHint:
 		st.hints.put(t)
+	case *HelloDigest:
+		st.digests.put(t)
 	case *Batch: // what Decoder.Unmarshal returned; the envelope itself is garbage
 		for _, inner := range t.Msgs {
 			st.release(inner)

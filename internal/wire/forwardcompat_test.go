@@ -184,6 +184,46 @@ func TestPrePR8PeersSkipStandbyKinds(t *testing.T) {
 	}
 }
 
+// TestPreDigestPeersSkipHelloDigest: a peer built before HELLO_DIGEST
+// skips a digest riding between two heartbeats — exactly its bytes, counted
+// once — and still decodes both heartbeats; a bare digest is an unknown
+// kind to it (hosts count that datagram as UnknownDropped). The old
+// peer's decoder is reproduced as in TestPrePR8PeersSkipStandbyKinds, by
+// patching the kind byte to one no build knows.
+func TestPreDigestPeersSkipHelloDigest(t *testing.T) {
+	a1 := &Alive{Group: "g", Sender: "w01", Incarnation: 1, Seq: 9}
+	a2 := &Alive{Group: "h", Sender: "w01", Incarnation: 1, Seq: 4}
+	digest := &HelloDigest{Group: "g", Sender: "w01", Incarnation: 1, Digest: 0x60a20e6e49ba7941}
+	raw := Marshal(&Batch{Msgs: []Message{a1, digest, a2}})
+
+	// The digest's kind byte follows the envelope header, the first item
+	// and the digest's own one-byte length prefix.
+	at := 3 + ItemSize(a1) + 1
+	if Kind(raw[at]) != KindHelloDigest {
+		t.Fatalf("byte %d is %s, want HELLO_DIGEST", at, Kind(raw[at]))
+	}
+	patched := append([]byte(nil), raw...)
+	patched[at] = byte(futureKind)
+
+	c := new(Carrier)
+	unknown, err := c.Decode(new(Interner), patched)
+	if err != nil {
+		t.Fatalf("pre-digest decode: %v", err)
+	}
+	if want := []Message{a1, a2}; !reflect.DeepEqual(c.Msgs, want) {
+		t.Fatalf("pre-digest peer decoded %+v, want the two heartbeats %+v", c.Msgs, want)
+	}
+	if unknown != 1 {
+		t.Fatalf("Decode counted %d unknown kinds, want 1", unknown)
+	}
+
+	bare := Marshal(digest)
+	bare[0] = byte(futureKind)
+	if _, err := Unmarshal(bare); !errors.Is(err, ErrUnknownKind) {
+		t.Fatalf("bare digest on a pre-digest peer: err = %v, want ErrUnknownKind", err)
+	}
+}
+
 // TestStandbyPlaneKindStrings pins the wire names of the standby plane.
 func TestStandbyPlaneKindStrings(t *testing.T) {
 	names := map[Kind]string{

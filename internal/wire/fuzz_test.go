@@ -46,6 +46,11 @@ func FuzzUnmarshal(f *testing.F) {
 			Successor: "w02", SuccessorInc: 5, At: 100, Lease: int64(10e9)},
 		&LeaderSnapshot{Group: "g", Sender: "w01", Incarnation: 1, Seq: 9, Tombstone: true},
 	}}))
+	// Digest gossip: the round's digest riding a heartbeat batch.
+	f.Add(Marshal(&Batch{Msgs: []Message{
+		&Alive{Group: "g", Sender: "w01", Incarnation: 1, Seq: 13},
+		&HelloDigest{Group: "g", Sender: "w01", Incarnation: 1, Digest: 0x60a20e6e49ba7941},
+	}}))
 	f.Add(appendFutureItem(appendFutureItem([]byte{byte(KindBatch), BatchVersion, 2},
 		[]byte{0xde, 0xad}), nil))
 	f.Add([]byte{byte(KindBatch), BatchVersion, 1, 3, byte(futureKind), 0xff})

@@ -52,11 +52,18 @@
 //	                tombstone so subscribed clients re-pin to the
 //	                successor without a stale window
 //
+// One further kind makes the gossip anti-entropy: a round sends each
+// target a checksum of the table, and the full table follows only where
+// the checksums differ (see TableDigest).
+//
+//	HELLO_DIGEST    the 8-byte digest of the sender's membership table
+//
 // Inside a Batch envelope, message kinds this build does not know are
 // skipped (and counted), not treated as corruption: the length prefix makes
 // every inner message self-delimiting, so a newer peer can speak a newer
 // kind to an older one without poisoning the datagram's remaining traffic.
-// Pre-standby peers skip all three kinds above this way.
+// Pre-standby peers skip the three kinds above this way, and pre-digest
+// peers skip HELLO_DIGEST.
 //
 // There is one codec: MarshalAppend into a caller's buffer (Marshal is it
 // over a fresh one), and a Decoder that interns strings and recycles
@@ -90,6 +97,7 @@ const (
 	KindStandby
 	KindHandover
 	KindSuccessorHint
+	KindHelloDigest
 )
 
 // knownKind reports whether k names a message this build can decode (the
@@ -97,7 +105,7 @@ const (
 // batch are skipped, not errors — forward compatibility for mixed-version
 // deployments.
 func knownKind(k Kind) bool {
-	return k >= KindHello && k <= KindSuccessorHint && k != KindBatch
+	return k >= KindHello && k <= KindHelloDigest && k != KindBatch
 }
 
 // String returns the conventional upper-case name of the kind.
@@ -131,6 +139,8 @@ func (k Kind) String() string {
 		return "HANDOVER"
 	case KindSuccessorHint:
 		return "SUCCESSOR_HINT"
+	case KindHelloDigest:
+		return "HELLO_DIGEST"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -178,6 +188,54 @@ type Hello struct {
 	Sender      id.Process
 	Incarnation int64
 	Members     []MemberInfo
+}
+
+// HelloDigest is a gossip round's summary of the sender's membership
+// table: TableDigest of the rows a Hello from it would carry. A receiver
+// whose own digest differs answers with its full Hello.
+type HelloDigest struct {
+	Group       id.Group
+	Sender      id.Process
+	Incarnation int64
+	Digest      uint64
+}
+
+// TableDigest is the membership table's checksum: the sum of a 64-bit
+// FNV-1a hash of each row, so it is independent of row order and the same
+// on every process and architecture. Equal tables have equal digests; a
+// collision between unequal ones only delays their convergence, because
+// a full Hello still reconciles them (see the core's reply rule).
+func TableDigest(rows []MemberInfo) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	var sum uint64
+	for _, r := range rows {
+		// A row hashes as ID, incarnation (8 bytes, big-endian), flags:
+		// the fixed-width tail delimits the ID.
+		h := uint64(offset64)
+		for i := 0; i < len(r.ID); i++ {
+			h = (h ^ uint64(r.ID[i])) * prime64
+		}
+		for s := 56; s >= 0; s -= 8 {
+			h = (h ^ uint64(r.Incarnation)>>s&0xff) * prime64
+		}
+		sum += (h ^ uint64(rowFlags(r))) * prime64
+	}
+	return sum
+}
+
+// rowFlags packs a member row's two booleans as they travel in a Hello.
+func rowFlags(r MemberInfo) byte {
+	var flags byte
+	if r.Candidate {
+		flags |= 1
+	}
+	if r.Left {
+		flags |= 2
+	}
+	return flags
 }
 
 // Join announces that Sender (at Incarnation) joined Group.
@@ -405,6 +463,7 @@ var (
 	_ Message = (*Standby)(nil)
 	_ Message = (*Handover)(nil)
 	_ Message = (*SuccessorHint)(nil)
+	_ Message = (*HelloDigest)(nil)
 )
 
 // Kind implements Message.
@@ -449,6 +508,9 @@ func (*Handover) Kind() Kind { return KindHandover }
 // Kind implements Message.
 func (*SuccessorHint) Kind() Kind { return KindSuccessorHint }
 
+// Kind implements Message.
+func (*HelloDigest) Kind() Kind { return KindHelloDigest }
+
 // From implements Message.
 func (m *Hello) From() id.Process { return m.Sender }
 
@@ -487,6 +549,9 @@ func (m *Handover) From() id.Process { return m.Sender }
 
 // From implements Message.
 func (m *SuccessorHint) From() id.Process { return m.Sender }
+
+// From implements Message.
+func (m *HelloDigest) From() id.Process { return m.Sender }
 
 // From implements Message: the first inner message's sender.
 func (m *Batch) From() id.Process {
@@ -534,6 +599,9 @@ func (m *Handover) GroupID() id.Group { return m.Group }
 
 // GroupID implements Message.
 func (m *SuccessorHint) GroupID() id.Group { return m.Group }
+
+// GroupID implements Message.
+func (m *HelloDigest) GroupID() id.Group { return m.Group }
 
 // GroupID implements Message: the first inner message's group. A batch may
 // span groups; dispatch reads each inner message's own header.
@@ -623,6 +691,9 @@ func (m *SuccessorHint) WireSize() int {
 	return headerSize(m.Group, m.Sender) + uvarintLen(m.Seq) +
 		strSize(string(m.Successor)) + 8 + 8 + 8
 }
+
+// WireSize implements Message.
+func (m *HelloDigest) WireSize() int { return headerSize(m.Group, m.Sender) + 8 }
 
 // WireSize implements Message.
 func (m *Batch) WireSize() int {
@@ -781,14 +852,7 @@ func MarshalAppend(dst []byte, m Message) []byte {
 		for _, mb := range t.Members {
 			w.str(string(mb.ID))
 			w.i64(mb.Incarnation)
-			var flags byte
-			if mb.Candidate {
-				flags |= 1
-			}
-			if mb.Left {
-				flags |= 2
-			}
-			w.u8(flags)
+			w.u8(rowFlags(mb))
 		}
 	case *Join:
 		w.i64(t.Incarnation)
@@ -856,6 +920,9 @@ func MarshalAppend(dst []byte, m Message) []byte {
 		w.i64(t.SuccessorInc)
 		w.i64(t.At)
 		w.i64(t.Lease)
+	case *HelloDigest:
+		w.i64(t.Incarnation)
+		w.i64(int64(t.Digest))
 	default:
 		panic(fmt.Sprintf("wire: Marshal of unknown type %T", m))
 	}
@@ -1043,6 +1110,10 @@ func unmarshalOne(r *reader) (Message, error) {
 		t.SuccessorInc = r.i64()
 		t.At = r.i64()
 		t.Lease = r.i64()
+		m = t
+	case KindHelloDigest:
+		t := r.st.digests.get()
+		t.Group, t.Sender, t.Incarnation, t.Digest = group, sender, r.i64(), uint64(r.i64())
 		m = t
 	default:
 		if r.err != nil {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -48,6 +49,7 @@ func sampleMessages() []Message {
 			SuccessorInc: 77, GrantAcc: 1709999999999999999, At: 1710000000000000000},
 		&SuccessorHint{Group: "g", Sender: "w01", Incarnation: 9, Seq: 1 << 21,
 			Successor: "w03", SuccessorInc: 77, At: 1710000000000000000, Lease: int64(10e9)},
+		&HelloDigest{Group: "g1", Sender: "w01", Incarnation: 123456789, Digest: 0xfedcba9876543210},
 	}
 }
 
@@ -88,7 +90,7 @@ func randomProcess(r *rand.Rand) id.Process {
 func randomMessage(r *rand.Rand) Message {
 	g := id.Group(randomProcess(r))
 	s := randomProcess(r)
-	switch r.Intn(10) {
+	switch r.Intn(11) {
 	case 0:
 		m := &Hello{Group: g, Sender: s, Incarnation: r.Int63()}
 		for i := r.Intn(5); i > 0; i-- {
@@ -132,6 +134,8 @@ func randomMessage(r *rand.Rand) Message {
 		}
 	case 8:
 		return &LeaseRenew{Group: g, Sender: s, Incarnation: r.Int63(), TTL: r.Int63n(1e11)}
+	case 9:
+		return &HelloDigest{Group: g, Sender: s, Incarnation: r.Int63(), Digest: r.Uint64()}
 	default:
 		return &Rate{Group: g, Sender: s, Incarnation: r.Int63(), Interval: r.Int63n(1e10)}
 	}
@@ -220,6 +224,8 @@ func TestKindString(t *testing.T) {
 		KindAccuse: "ACCUSE",
 		KindRate:   "RATE",
 		Kind(99):   "Kind(99)",
+
+		KindHelloDigest: "HELLO_DIGEST",
 	}
 	for k, want := range names {
 		if got := k.String(); got != want {
@@ -244,5 +250,83 @@ func TestAliveWithoutLocalLeaderOmitsFields(t *testing.T) {
 	without := &Alive{Group: "g", Sender: "s"}
 	if with.WireSize() <= without.WireSize() {
 		t.Error("local leader fields should add to the wire size")
+	}
+}
+
+// TestPreDigestKindsMarshalUnchanged pins the encoding of every kind that
+// existed before HELLO_DIGEST, byte for byte as the build without it
+// marshaled sampleMessages: adding a kind must not move a single byte of
+// the others.
+func TestPreDigestKindsMarshalUnchanged(t *testing.T) {
+	golden := []string{
+		"010267310377303100000000075bcd15030377303100000000075bcd150103773032000000000000002a0203773033000000000000000701",
+		"02066f72646572730161fffffffffffffffb01",
+		"030167156e6f64652d776974682d612d6c6f6e672d6e616d650000000000000063",
+		"0401670377303717bb23f0a5eb00008080808080200000000000000037000000000bebc200000000000000004d000000030103773031000000000000000b",
+		"04016703773037000000000000000200ffffffffffffffff000000000000000000000000000000000000000000",
+		"05016703773039000000000000000500000000000000090000000200000000000004d2",
+		"0601670377303200000000000000080000000002faf080",
+		"08016708636c69656e742d37000000000000002a00000002540be400",
+		"09016708636c69656e742d37000000000000002a",
+		"0a016703773031000000000000000980808080200103773033000000000000004d17bb23f0a5eb000000000002540be400",
+		"0a0167037730310000000000000009030200000000000000000000000000000000000000000000000000",
+		"0b016708636c69656e742d37000000000000002a000000012a05f200",
+		"0c01670377303100000000000000091103773033000000000000004d",
+		"0c016703773031000000000000000912000000000000000000",
+		"0d016703773031000000000000000903773033000000000000004d17bb23f0a5eaffff17bb23f0a5eb0000",
+		"0e01670377303100000000000000098080800103773033000000000000004d17bb23f0a5eb000000000002540be400",
+	}
+	var old []Message
+	for _, m := range sampleMessages() {
+		if m.Kind() != KindHelloDigest {
+			old = append(old, m)
+		}
+	}
+	if len(old) != len(golden) {
+		t.Fatalf("%d pre-digest samples, %d golden encodings", len(old), len(golden))
+	}
+	for i, m := range old {
+		if got := hex.EncodeToString(Marshal(m)); got != golden[i] {
+			t.Errorf("%s encoding moved:\n got  %s\n want %s", m.Kind(), got, golden[i])
+		}
+	}
+}
+
+// TestTableDigest: the digest depends on every field of every row and on
+// nothing else — not on row order — and is pinned, so that processes on
+// any architecture and build agree on it.
+func TestTableDigest(t *testing.T) {
+	rows := []MemberInfo{
+		{ID: "w01", Incarnation: 123456789, Candidate: true},
+		{ID: "w02", Incarnation: 42, Left: true},
+		{ID: "w03", Incarnation: 7, Candidate: true},
+	}
+	// The sum of the rows' FNV-1a hashes of ID, big-endian incarnation
+	// and flags byte, as any FNV-1a implementation computes it.
+	d := TableDigest(rows)
+	if d != 0x60a20e6e49ba7941 {
+		t.Errorf("TableDigest = %#x, want 0x60a20e6e49ba7941", d)
+	}
+	reversed := []MemberInfo{rows[2], rows[1], rows[0]}
+	if got := TableDigest(reversed); got != d {
+		t.Errorf("digest depends on row order: %#x vs %#x", got, d)
+	}
+	if TableDigest(nil) != 0 {
+		t.Error("the empty table's digest is not zero")
+	}
+	for i, edit := range []func(*MemberInfo){
+		func(r *MemberInfo) { r.ID = "w04" },
+		func(r *MemberInfo) { r.Incarnation++ },
+		func(r *MemberInfo) { r.Candidate = !r.Candidate },
+		func(r *MemberInfo) { r.Left = !r.Left },
+	} {
+		changed := append([]MemberInfo(nil), rows...)
+		edit(&changed[1])
+		if TableDigest(changed) == d {
+			t.Errorf("edit %d of a row left the digest unchanged", i)
+		}
+	}
+	if TableDigest(rows[:2]) == d {
+		t.Error("dropping a row left the digest unchanged")
 	}
 }
