@@ -221,6 +221,8 @@ type Shared struct {
 	Links linkest.Pool
 	// Rates is where their monitors agree on the interval to ask of one.
 	Rates fd.Rates
+
+	runs runPeers
 }
 
 // WithShared makes the node one of several serving the same process; the
@@ -284,7 +286,7 @@ func NewNode(self id.Process, rt Runtime, opts ...NodeOption) *Node {
 		shared: cfg.shared,
 		obs:    cfg.obs,
 	}
-	n.out = cfg.shared.Out.Port(rt, rt.Send)
+	n.out = cfg.shared.Out.Port(rt, rt.Send, n.wireCaps)
 	if cfg.clientPlane {
 		n.subs = subs.New(subs.Config{
 			Self:        self,
@@ -528,6 +530,11 @@ func (n *Node) handleOne(m wire.Message) {
 		return
 	case *wire.SuccessorHint:
 		// Client-bound half of a goodbye; a service node drops it too.
+		return
+	case *wire.AliveRun:
+		// A peer's announcement that it decodes runs: process-wide, like
+		// the outbound scheduler whose runs it unlocks.
+		n.shared.runs.announced(t.Sender, t.Incarnation)
 		return
 	}
 	gs, ok := n.groups[m.GroupID()]

@@ -271,9 +271,7 @@ func (gs *groupState) defaultInterval() time.Duration {
 //
 //leadervet:onLoop
 func (gs *groupState) sendAliveTo(dest id.Process, ds *destState) {
-	if m := gs.standbyToAnnounce(ds); m != nil {
-		gs.n.sendLazy(dest, m)
-	}
+	gs.announceStandby(dest, ds)
 	ds.seq++
 	ds.lastSent = gs.n.rt.Now()
 	m := wire.GetAlive()
@@ -287,34 +285,30 @@ func (gs *groupState) sendAliveTo(dest id.Process, ds *destState) {
 	gs.n.sendLazy(dest, m) //leadervet:handoff — the host's send path releases it
 }
 
-// standbyToAnnounce returns the STANDBY announcement due for a heartbeat
-// destination, or nil: non-leaders announce nothing, and a leader
+// announceStandby enqueues the STANDBY announcement due for a heartbeat
+// destination, if any: non-leaders announce nothing, and a leader
 // re-announces per destination only every standbyRefreshEvery (loss
 // repair) or immediately after a nomination change (standbyAt zeroed).
 //
 //leadervet:onLoop
-func (gs *groupState) standbyToAnnounce(ds *destState) *wire.Standby {
+func (gs *groupState) announceStandby(dest id.Process, ds *destState) {
 	if gs.opts.DisableHandover {
-		return nil
+		return
 	}
 	info := gs.lastInfo
 	if !info.Elected || info.Leader != gs.n.self {
-		return nil
+		return
 	}
 	now := gs.n.rt.Now()
 	if !ds.standbyAt.IsZero() && now.Sub(ds.standbyAt) < standbyRefreshEvery {
-		return nil
+		return
 	}
 	ds.standbyAt = now
 	gs.standbySeq++
-	return &wire.Standby{
-		Group:       gs.gid,
-		Sender:      gs.n.self,
-		Incarnation: gs.n.inc,
-		Seq:         gs.standbySeq,
-		Standby:     gs.standby,
-		StandbyInc:  gs.standbyInc,
-	}
+	m := wire.GetStandby()
+	m.Group, m.Sender, m.Incarnation = gs.gid, gs.n.self, gs.n.inc
+	m.Seq, m.Standby, m.StandbyInc = gs.standbySeq, gs.standby, gs.standbyInc
+	gs.n.sendLazy(dest, m) //leadervet:handoff — the host's send path releases it
 }
 
 // --- peer bookkeeping ---------------------------------------------------
@@ -339,6 +333,7 @@ func (gs *groupState) syncPeers() {
 			continue
 		}
 		entry.mon.Stop()
+		gs.n.shared.runs.unmonitor(p)
 		delete(gs.monitors, p)
 	}
 	for _, p := range sortedKeys(gs.dests) {
@@ -371,6 +366,7 @@ func (gs *groupState) syncPeers() {
 
 // newMonitor builds the failure detector for peer p.
 func (gs *groupState) newMonitor(p id.Process, inc int64) *monitorEntry {
+	gs.n.shared.runs.monitor(p, inc)
 	entry := &monitorEntry{inc: inc}
 	entry.mon = fd.NewMonitor(fd.Config{
 		Clock:     gs.n.rt,
@@ -403,12 +399,9 @@ func (gs *groupState) newMonitor(p id.Process, inc int64) *monitorEntry {
 			gs.nominateStandby()
 		},
 		RequestRate: func(interval time.Duration) {
-			gs.n.sendLazy(p, &wire.Rate{
-				Group:       gs.gid,
-				Sender:      gs.n.self,
-				Incarnation: gs.n.inc,
-				Interval:    int64(interval),
-			})
+			m := wire.GetRate()
+			m.Group, m.Sender, m.Incarnation, m.Interval = gs.gid, gs.n.self, gs.n.inc, int64(interval)
+			gs.n.sendLazy(p, m) //leadervet:handoff — the host's send path releases it
 		},
 		OnReconfigure: func(params qos.Params) {
 			if gs.stopped {
@@ -1162,8 +1155,9 @@ func (gs *groupState) shutdown() {
 	}
 	gs.stopped = true
 	gs.algo.Stop()
-	for _, entry := range gs.monitors {
+	for p, entry := range gs.monitors {
 		entry.mon.Stop()
+		gs.n.shared.runs.unmonitor(p)
 	}
 	for _, p := range sortedKeys(gs.dests) {
 		gs.n.dropStream(gs.gid, p)

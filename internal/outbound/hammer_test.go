@@ -102,7 +102,7 @@ func TestPortsHammer(t *testing.T) {
 				log.mu.Unlock()
 			}
 			log.record(to, m)
-		})
+		}, nil)
 		loops[i] = lp
 	}
 	enqueue := func(lp *loop, to id.Process, d time.Duration) {

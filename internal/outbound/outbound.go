@@ -19,7 +19,9 @@
 //
 // A flush holding a single message emits it bare — byte-identical to the
 // pre-batch wire format — so mixed-version clusters interoperate on the
-// fast path.
+// fast path. A batch codes its ALIVEs as runs (wire.AliveRun) only toward
+// a peer its port's owner knows decodes them, and the owner's own
+// announcement that it does rides a datagram already leaving.
 //
 // Combine out, the mirror of the host's "steer in": a process runs ONE
 // Scheduler however many event loops it has. Each loop attaches a Port —
@@ -100,6 +102,7 @@ type Port struct {
 	s     *Scheduler
 	clock clock.Clock
 	emit  func(to id.Process, m wire.Message)
+	caps  func(to id.Process) (runs bool, note wire.Message)
 	// peers caches, per destination this port has addressed, the shared
 	// queue and this port's own flush timer for it — created once with the
 	// entry and re-armed per coalescing window, O(1) and allocation free on
@@ -121,7 +124,7 @@ func New(cfg Config) *Scheduler {
 	}
 	s := &Scheduler{cfg: cfg, queues: make(map[id.Process]*queue)}
 	if cfg.Emit != nil {
-		s.first = s.Port(cfg.Clock, cfg.Emit)
+		s.first = s.Port(cfg.Clock, cfg.Emit, nil)
 	}
 	return s
 }
@@ -134,12 +137,18 @@ func New(cfg Config) *Scheduler {
 // stages there and sends once the call has returned. The datagram may
 // carry messages other ports staged.
 //
+// caps, when set, is asked about every datagram as it leaves through this
+// port, with the destination's queue locked: runs reports that to decodes
+// ALIVE runs, so an envelope codes them (wire.Batch.Runs), and a non-nil
+// note is one more message for the datagram, owned like the rest — how a
+// port's owner announces that it decodes runs without adding a datagram.
+//
 //leadervet:init
-func (s *Scheduler) Port(c clock.Clock, emit func(to id.Process, m wire.Message)) *Port {
+func (s *Scheduler) Port(c clock.Clock, emit func(to id.Process, m wire.Message), caps func(to id.Process) (runs bool, note wire.Message)) *Port {
 	s.mu.Lock()
 	s.live++
 	s.mu.Unlock()
-	return &Port{s: s, clock: c, emit: emit, peers: make(map[id.Process]*portPeer)}
+	return &Port{s: s, clock: c, emit: emit, caps: caps, peers: make(map[id.Process]*portPeer)}
 }
 
 // Enqueue stages m for to through the first port, like the three methods
@@ -320,6 +329,14 @@ func (p *Port) flush(to id.Process, pe *portPeer) {
 	if n == 0 {
 		return
 	}
+	runs := false
+	if p.caps != nil {
+		var note wire.Message
+		if runs, note = p.caps(to); note != nil {
+			q.msgs = append(q.msgs, note)
+			n++
+		}
+	}
 	var m wire.Message
 	if n == 1 {
 		// Fast path: a lone message ships bare, byte-compatible with the
@@ -332,6 +349,7 @@ func (p *Port) flush(to id.Process, pe *portPeer) {
 		// just keeps them.
 		b := wire.GetBatch()
 		b.Msgs = append(b.Msgs, q.msgs...)
+		b.Runs = runs
 		m = b
 	}
 	// The staging buffer stays with the queue, emptied so it retains no

@@ -234,7 +234,7 @@ func TestPortsShareOneQueue(t *testing.T) {
 		return h.sched.Port(engClock{h.eng}, func(to id.Process, m wire.Message) {
 			via = append(via, name)
 			h.out = append(h.out, emitted{to, m})
-		})
+		}, nil)
 	}
 	a, b := port("a"), port("b")
 	a.Enqueue("p", alive("g1", 1), 2*time.Millisecond)
@@ -279,5 +279,60 @@ func TestPortsShareOneQueue(t *testing.T) {
 	b.Stop()
 	if msgs, _ := h.sched.Staged(); msgs != 0 {
 		t.Errorf("%d messages staged after the last port stopped", msgs)
+	}
+}
+
+// TestCapsCodeRunsAndCarryTheNote: a port's caps decide, per datagram as
+// it leaves, whether the envelope codes runs and whether the owner's
+// announcement rides along — appended last, counted with the messages,
+// the bytes counted as the compact envelope marshals. A lone message
+// with a note becomes a two-message batch; with none it stays bare. No
+// datagram is ever added.
+func TestCapsCodeRunsAndCarryTheNote(t *testing.T) {
+	h := &harness{eng: simnet.NewEngine(1), counters: &metrics.PacketCounters{}}
+	h.sched = New(Config{Counters: h.counters})
+	capable, due := map[id.Process]bool{"b": true}, map[id.Process]bool{"b": true, "c": true}
+	port := h.sched.Port(engClock{h.eng}, func(to id.Process, m wire.Message) {
+		h.out = append(h.out, emitted{to, m})
+	}, func(to id.Process) (bool, wire.Message) {
+		if !due[to] {
+			return capable[to], nil
+		}
+		due[to] = false
+		return capable[to], &wire.AliveRun{Sender: "a", Incarnation: 1}
+	})
+	for _, g := range []id.Group{"g1", "g2", "g3"} {
+		port.Enqueue("b", alive(g, 1), time.Millisecond)
+	}
+	port.Enqueue("c", alive("g1", 1), time.Millisecond)
+	port.Enqueue("d", alive("g1", 1), time.Millisecond)
+	h.eng.RunFor(time.Millisecond)
+	for _, g := range []id.Group{"g1", "g2"} {
+		port.Enqueue("b", alive(g, 2), time.Millisecond)
+	}
+	h.eng.RunFor(time.Millisecond)
+	if len(h.out) != 4 {
+		t.Fatalf("emitted %d datagrams, want 4: %+v", len(h.out), h.out)
+	}
+	first, ok := h.out[0].m.(*wire.Batch)
+	if !ok || !first.Runs || len(first.Msgs) != 4 || first.Msgs[3].Kind() != wire.KindAliveRun {
+		t.Errorf("to b: %+v, want three ALIVEs coded as a run and the note last", h.out[0].m)
+	}
+	if lone, ok := h.out[1].m.(*wire.Batch); !ok || lone.Runs || len(lone.Msgs) != 2 {
+		t.Errorf("to c: %+v, want the ALIVE and the note, classic", h.out[1].m)
+	}
+	if _, bare := h.out[2].m.(*wire.Alive); !bare {
+		t.Errorf("to d: %+v, want the bare ALIVE", h.out[2].m)
+	}
+	if again, ok := h.out[3].m.(*wire.Batch); !ok || !again.Runs || len(again.Msgs) != 2 {
+		t.Errorf("to b again: %+v, want a run and no second note", h.out[3].m)
+	}
+	var bytes int64
+	for _, e := range h.out {
+		bytes += int64(len(wire.Marshal(e.m)) + wire.UDPOverhead)
+	}
+	st := h.counters.Snapshot()
+	if st.DatagramsOut != 4 || st.MessagesOut != 9 || st.BytesOut != bytes {
+		t.Errorf("counters = %+v, want 4 datagrams, 9 messages, %d bytes", st, bytes)
 	}
 }

@@ -280,6 +280,38 @@ func TestBatchCountsAsOneDatagram(t *testing.T) {
 	}
 }
 
+// TestCompactedBatchCountsWireBytes: a batch that codes its heartbeats as
+// a run is charged what it marshals to — fewer bytes than the classic
+// envelope of the same messages — and still counts every message,
+// announcement included.
+func TestCompactedBatchCountsWireBytes(t *testing.T) {
+	eng, net, c := newPair(t, LAN())
+	batch := &wire.Batch{Runs: true, Msgs: []wire.Message{
+		&wire.Alive{Group: "g1", Sender: "a", Incarnation: 1, Seq: 7, SendTime: 5e9, Interval: 2e8, AccTime: 3},
+		&wire.Alive{Group: "g2", Sender: "a", Incarnation: 1, Seq: 7, SendTime: 5e9 + 4e3, Interval: 2e8, AccTime: 4},
+		&wire.Alive{Group: "g3", Sender: "a", Incarnation: 1, Seq: 7, SendTime: 5e9 + 1e3, Interval: 2e8, AccTime: 5},
+		&wire.AliveRun{Sender: "a", Incarnation: 1},
+	}}
+	net.Send("a", "b", batch)
+	eng.RunFor(time.Second)
+	wantBytes := int64(len(wire.Marshal(batch)) + wire.UDPOverhead)
+	a := net.Endpoint("a").Counters()
+	b := net.Endpoint("b").Counters()
+	if a.DatagramsSent != 1 || a.MsgsSent != 4 || a.BytesSent != wantBytes {
+		t.Errorf("sender counters = %+v, want 1 datagram / 4 msgs / %d bytes", a, wantBytes)
+	}
+	if b.DatagramsRecv != 1 || b.MsgsRecv != 4 || b.BytesRecv != wantBytes {
+		t.Errorf("receiver counters = %+v, want 1 datagram / 4 msgs / %d bytes", b, wantBytes)
+	}
+	classic := &wire.Batch{Msgs: batch.Msgs}
+	if wantBytes >= int64(classic.WireSize()+wire.UDPOverhead) {
+		t.Errorf("compacted batch charged %d bytes, classic %d: the run must save wire", wantBytes, classic.WireSize()+wire.UDPOverhead)
+	}
+	if len(c.msgs) != 1 || c.msgs[0] != batch {
+		t.Errorf("delivered %+v, want the batch itself", c.msgs)
+	}
+}
+
 func TestExpMean(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const n = 200000

@@ -312,7 +312,7 @@ func TestWarmDecoderMatchesFresh(t *testing.T) {
 	for _, m := range sampleMessages() {
 		covered[m.Kind()] = true
 	}
-	for k := KindHello; k <= KindHelloDigest; k++ {
+	for k := KindHello; k <= KindAliveRun; k++ {
 		if !covered[k] {
 			t.Fatalf("sampleMessages has no %s: the warm-up below would not dirty its freelist", k)
 		}
@@ -328,6 +328,7 @@ func TestWarmDecoderMatchesFresh(t *testing.T) {
 		&LeaderSnapshot{Group: "q", Sender: "p"}, &LeaseRenew{Group: "q", Sender: "p"},
 		&Standby{Group: "q", Sender: "p"}, &Handover{Group: "q", Sender: "p"},
 		&SuccessorHint{Group: "q", Sender: "p"}, &HelloDigest{Group: "q", Sender: "p"},
+		&AliveRun{Sender: "p"},
 		// One row where loud's HELLO had three: the tail must be gone.
 		&Hello{Group: "q", Sender: "p", Members: []MemberInfo{{ID: "r", Incarnation: 1}}},
 	}
@@ -338,6 +339,9 @@ func TestWarmDecoderMatchesFresh(t *testing.T) {
 	for _, m := range quiet {
 		inputs = append(inputs, Marshal(m))
 	}
+	// ALIVEs decoded from a run land in structs that held loud's.
+	inputs = append(inputs, Marshal(&Batch{Runs: true, Msgs: []Message{
+		&Alive{Group: "q", Sender: "p"}, &Alive{Group: "q", Sender: "p"}}}))
 
 	// Each storage under test: decode one datagram, and give everything
 	// the last decode handed out back.

@@ -88,3 +88,41 @@ func BenchmarkBatch(b *testing.B) {
 		}
 	}
 }
+
+// benchRuns is benchBatch as a peer that decodes runs receives it: the
+// sixteen heartbeats in one run record.
+func benchRuns() *Batch {
+	b := benchBatch()
+	b.Runs = true
+	return b
+}
+
+func BenchmarkRunMarshal(b *testing.B) {
+	batch := benchRuns()
+	buf := make([]byte, 0, batch.WireSize())
+	b.ReportAllocs()
+	b.SetBytes(int64(batch.WireSize()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = MarshalAppend(buf[:0], batch)
+	}
+	_ = buf
+}
+
+func BenchmarkRunUnmarshal(b *testing.B) {
+	enc := Marshal(benchRuns())
+	dec := NewDecoder()
+	var msgs []Message
+	b.ReportAllocs()
+	b.SetBytes(int64(len(enc)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if msgs, err = dec.DecodeAppend(msgs[:0], enc); err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range msgs {
+			dec.Release(m)
+		}
+	}
+}

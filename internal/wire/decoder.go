@@ -37,6 +37,7 @@ type store struct {
 	handovers  freelist[Handover]
 	hints      freelist[SuccessorHint]
 	digests    freelist[HelloDigest]
+	runs       freelist[AliveRun]
 }
 
 // freelist recycles the structs of one message kind.
@@ -151,10 +152,10 @@ func decodeAppend(st *store, in *Interner, dst []Message, b []byte) (_ []Message
 	n := len(dst)
 	if isBatch(b) {
 		dst, err = unmarshalBatchEnvelope(&r, dst)
-	} else if m, merr := unmarshalOne(&r); merr == nil {
-		dst = append(dst, m)
-	} else {
-		err = merr
+	} else if dst, err = decodeRecord(&r, dst); err == nil && dst[n].Kind() != Kind(b[0]) {
+		// A bare datagram is one message of its own kind: the ALIVEs of a
+		// run travel only in an envelope.
+		err = errBadRun
 	}
 	if err != nil {
 		for _, m := range dst[n:] {
@@ -199,6 +200,8 @@ func (st *store) release(m Message) {
 		st.hints.put(t)
 	case *HelloDigest:
 		st.digests.put(t)
+	case *AliveRun:
+		st.runs.put(t)
 	case *Batch: // what Decoder.Unmarshal returned; the envelope itself is garbage
 		for _, inner := range t.Msgs {
 			st.release(inner)

@@ -224,6 +224,39 @@ func TestPreDigestPeersSkipHelloDigest(t *testing.T) {
 	}
 }
 
+// TestPreRunPeersSkipRuns is why runs wait for an announcement: a peer
+// built before ALIVE_RUN skips a run record whole, every heartbeat in it
+// with it — a lost beat per group, and false suspicions — and skips an
+// announcement the same way, harmlessly. The old decoder is reproduced as
+// above, by patching the kind bytes to one no build knows.
+func TestPreRunPeersSkipRuns(t *testing.T) {
+	a1 := &Alive{Group: "g", Sender: "w01", Incarnation: 1, Seq: 9}
+	a2 := &Alive{Group: "h", Sender: "w01", Incarnation: 1, Seq: 4}
+	digest := &HelloDigest{Group: "g", Sender: "w01", Incarnation: 1, Digest: 7}
+	note := &AliveRun{Sender: "w01", Incarnation: 1}
+	raw := Marshal(&Batch{Runs: true, Msgs: []Message{a1, a2, digest, note}})
+
+	// The run is the first record, the announcement the last.
+	run, last := 4, len(raw)-note.WireSize()
+	if Kind(raw[run]) != KindAliveRun || Kind(raw[last]) != KindAliveRun {
+		t.Fatalf("bytes %d and %d are %s and %s, want ALIVE_RUN", run, last, Kind(raw[run]), Kind(raw[last]))
+	}
+	patched := append([]byte(nil), raw...)
+	patched[run], patched[last] = byte(futureKind), byte(futureKind)
+
+	c := new(Carrier)
+	unknown, err := c.Decode(new(Interner), patched)
+	if err != nil {
+		t.Fatalf("pre-run decode: %v", err)
+	}
+	if want := []Message{digest}; !reflect.DeepEqual(c.Msgs, want) {
+		t.Fatalf("pre-run peer decoded %+v, want only the digest", c.Msgs)
+	}
+	if unknown != 2 {
+		t.Fatalf("Decode counted %d unknown kinds, want 2", unknown)
+	}
+}
+
 // TestStandbyPlaneKindStrings pins the wire names of the standby plane.
 func TestStandbyPlaneKindStrings(t *testing.T) {
 	names := map[Kind]string{

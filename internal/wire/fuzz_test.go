@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 )
@@ -51,6 +53,36 @@ func FuzzUnmarshal(f *testing.F) {
 		&Alive{Group: "g", Sender: "w01", Incarnation: 1, Seq: 13},
 		&HelloDigest{Group: "g", Sender: "w01", Incarnation: 1, Digest: 0x60a20e6e49ba7941},
 	}}))
+	// Heartbeat runs: a run with an announcement, an announcement riding
+	// a classic ALIVE, the most entries a payload can hold (all-zero
+	// minimal entries), a truncated entry, a count the payload cannot
+	// hold, and a run next to a future kind.
+	hb := heartbeats(3)
+	hb.Msgs = append(hb.Msgs, &AliveRun{Sender: "w07", Incarnation: 1})
+	runs := Marshal(hb)
+	f.Add(runs)
+	f.Add(Marshal(&Batch{Runs: true, Msgs: []Message{
+		&Alive{Group: "g", Sender: "w01", Incarnation: 1, Seq: 13},
+		&AliveRun{Sender: "w01", Incarnation: 1},
+	}}))
+	const maxEntries = 36
+	var rec writer
+	rec.kind(KindAliveRun)
+	rec.str("")
+	rec.str("w01")
+	rec.i64(1)
+	rec.i64(0)
+	rec.uvarint(maxEntries)
+	rec.b = append(rec.b, make([]byte, maxEntries*minRunEntry)...)
+	maxRun := binary.AppendUvarint([]byte{byte(KindBatch), BatchVersion, 1}, uint64(len(rec.b)))
+	f.Add(append(maxRun, rec.b...))
+	f.Add(runs[:len(runs)-7])
+	over := bytes.Clone(Marshal(heartbeats(2)))
+	over[26] = 0x7f // the run's count
+	f.Add(over)
+	next := Marshal(heartbeats(2))
+	next[2]++
+	f.Add(appendFutureItem(next, []byte{0xbe, 0xef}))
 	f.Add(appendFutureItem(appendFutureItem([]byte{byte(KindBatch), BatchVersion, 2},
 		[]byte{0xde, 0xad}), nil))
 	f.Add([]byte{byte(KindBatch), BatchVersion, 1, 3, byte(futureKind), 0xff})

@@ -5,10 +5,11 @@ import "sync"
 // Send-side message pooling.
 //
 // The receive side recycles message structs through each carrier's
-// freelists; the send side needs the mirror for three things: the Alive
-// every heartbeat stream builds per beat, the Batch envelope (and its
-// message slice) every coalesced datagram leaves in — at rest, one per peer
-// per heartbeat — and LeaderSnapshot, the client-plane fan-out payload. A
+// freelists; the send side needs the mirror for what is built per send:
+// the Alive every heartbeat stream builds per beat, the Batch envelope
+// (and its message slice) every coalesced datagram leaves in — at rest,
+// one per peer per heartbeat — the STANDBY and RATE riding them, the run
+// announcement, and LeaderSnapshot, the client-plane fan-out payload. A
 // leader-change edge under 10k subscribers builds 10k snapshot structs in
 // one burst, and before pooling that burst dominated the fan-out's
 // allocation profile (BenchmarkFanout: 1001 allocs per 1000-subscriber
@@ -16,13 +17,14 @@ import "sync"
 //
 // The contract mirrors the outbound ownership chain: the producer (the
 // pacer, the subscriber registry, the outbound scheduler) obtains a struct
-// from GetAlive, GetLeaderSnapshot or GetBatch, hands it to the node's send
-// path, and never touches it again; the host that consumes the message —
-// the real-time service, which marshals it into a datagram and drops it —
-// returns it through ReleaseOutbound after the bytes are on the wire. Hosts that retain messages past Send (the
-// simulator's in-flight virtual datagrams, test harnesses that inspect
-// traffic) simply never call ReleaseOutbound: the pool misses and the
-// producer allocates, which is correct, just not free.
+// from a Get function here, hands it to the node's send path, and never
+// touches it again; the host that consumes the message — the real-time
+// service, which marshals it into a datagram and drops it — returns it
+// through ReleaseOutbound after the bytes are on the wire. Hosts that
+// retain messages past Send (the simulator's in-flight virtual datagrams,
+// test harnesses that inspect traffic) simply never call ReleaseOutbound:
+// the pool misses and the producer allocates, which is correct, just not
+// free.
 var snapshotPool = sync.Pool{New: func() any { return new(LeaderSnapshot) }}
 
 // GetLeaderSnapshot returns a zeroed LeaderSnapshot, recycled when the
@@ -43,6 +45,36 @@ func GetAlive() *Alive {
 	return alivePool.Get().(*Alive)
 }
 
+var standbyPool = sync.Pool{New: func() any { return new(Standby) }}
+
+// GetStandby returns a zeroed Standby, recycled when the consuming host
+// releases it through ReleaseOutbound.
+//
+//leadervet:acquires
+func GetStandby() *Standby {
+	return standbyPool.Get().(*Standby)
+}
+
+var ratePool = sync.Pool{New: func() any { return new(Rate) }}
+
+// GetRate returns a zeroed Rate, recycled when the consuming host releases
+// it through ReleaseOutbound.
+//
+//leadervet:acquires
+func GetRate() *Rate {
+	return ratePool.Get().(*Rate)
+}
+
+var runPool = sync.Pool{New: func() any { return new(AliveRun) }}
+
+// GetAliveRun returns a zeroed AliveRun, recycled when the consuming host
+// releases it through ReleaseOutbound.
+//
+//leadervet:acquires
+func GetAliveRun() *AliveRun {
+	return runPool.Get().(*AliveRun)
+}
+
 var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 
 // GetBatch returns an empty Batch envelope whose Msgs slice keeps the
@@ -55,8 +87,8 @@ func GetBatch() *Batch {
 }
 
 // ReleaseOutbound recycles the pool-managed parts of one emitted datagram:
-// a bare Alive or LeaderSnapshot, or a Batch envelope with the Alives and
-// LeaderSnapshots it carries. Every other kind is left to the garbage collector — the
+// a bare message of a kind pooled above, or a Batch envelope with the
+// pooled messages it carries. Every other kind is left to the garbage collector — the
 // protocol core builds those rarely and may share slices (HELLO member
 // rows) that must not be recycled out from under a retainer. The caller
 // must own m outright (the outbound scheduler transfers ownership at
@@ -68,7 +100,7 @@ func ReleaseOutbound(m Message) {
 		for _, inner := range b.Msgs {
 			releaseOne(inner)
 		}
-		b.Msgs = kept(b.Msgs)
+		b.Msgs, b.Runs = kept(b.Msgs), false
 		batchPool.Put(b)
 		return
 	}
@@ -84,5 +116,14 @@ func releaseOne(m Message) {
 	case *LeaderSnapshot:
 		*t = LeaderSnapshot{}
 		snapshotPool.Put(t)
+	case *Standby:
+		*t = Standby{}
+		standbyPool.Put(t)
+	case *Rate:
+		*t = Rate{}
+		ratePool.Put(t)
+	case *AliveRun:
+		*t = AliveRun{}
+		runPool.Put(t)
 	}
 }

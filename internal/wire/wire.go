@@ -58,12 +58,21 @@
 //
 //	HELLO_DIGEST    the 8-byte digest of the sender's membership table
 //
+// One further kind compacts the heartbeats of one datagram: inside a Batch
+// envelope, consecutive ALIVEs from one sender lifetime may travel as one
+// record that decodes back into the same Alive values (see AliveRun).
+//
+//	ALIVE_RUN       a run of ALIVEs; empty, the sender's announcement that
+//	                it decodes runs
+//
 // Inside a Batch envelope, message kinds this build does not know are
 // skipped (and counted), not treated as corruption: the length prefix makes
 // every inner message self-delimiting, so a newer peer can speak a newer
 // kind to an older one without poisoning the datagram's remaining traffic.
 // Pre-standby peers skip the three kinds above this way, and pre-digest
-// peers skip HELLO_DIGEST.
+// peers skip HELLO_DIGEST. Pre-run peers would skip ALIVE_RUN, heartbeats
+// included, so a sender codes runs only toward a peer whose current
+// incarnation announced that it decodes them.
 //
 // There is one codec: MarshalAppend into a caller's buffer (Marshal is it
 // over a fresh one), and a Decoder that interns strings and recycles
@@ -98,6 +107,7 @@ const (
 	KindHandover
 	KindSuccessorHint
 	KindHelloDigest
+	KindAliveRun
 )
 
 // knownKind reports whether k names a message this build can decode (the
@@ -105,7 +115,7 @@ const (
 // batch are skipped, not errors — forward compatibility for mixed-version
 // deployments.
 func knownKind(k Kind) bool {
-	return k >= KindHello && k <= KindHelloDigest && k != KindBatch
+	return k >= KindHello && k <= KindAliveRun && k != KindBatch
 }
 
 // String returns the conventional upper-case name of the kind.
@@ -141,6 +151,8 @@ func (k Kind) String() string {
 		return "SUCCESSOR_HINT"
 	case KindHelloDigest:
 		return "HELLO_DIGEST"
+	case KindAliveRun:
+		return "ALIVE_RUN"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -438,13 +450,18 @@ const BatchVersion = 1
 // Batch is the coalescing envelope: one datagram carrying several protocol
 // messages bound for the same peer, possibly spanning groups. Its layout is
 //
-//	kind (KindBatch) | version | count uvarint | (len uvarint | message)*
+//	kind (KindBatch) | version | count uvarint | (len uvarint | record)*
 //
-// Batches never nest. All messages in a batch come from one sender, so
-// From and GroupID delegate to the first message; per-message headers stay
-// authoritative for dispatch.
+// where a record is one message or, when Runs is set, a run of ALIVEs (see
+// AliveRun); count counts records. Batches never nest. All messages in a
+// batch come from one sender, so From and GroupID delegate to the first
+// message; per-message headers stay authoritative for dispatch.
 type Batch struct {
 	Msgs []Message
+	// Runs codes every two or more consecutive ALIVEs of one sender
+	// lifetime as one run record; only for a peer known to decode runs.
+	// Decoding never sets it: the messages come back the same either way.
+	Runs bool
 }
 
 // Interface conformance checks.
@@ -464,6 +481,7 @@ var (
 	_ Message = (*Handover)(nil)
 	_ Message = (*SuccessorHint)(nil)
 	_ Message = (*HelloDigest)(nil)
+	_ Message = (*AliveRun)(nil)
 )
 
 // Kind implements Message.
@@ -697,12 +715,15 @@ func (m *HelloDigest) WireSize() int { return headerSize(m.Group, m.Sender) + 8 
 
 // WireSize implements Message.
 func (m *Batch) WireSize() int {
-	n := 2 + uvarintLen(uint64(len(m.Msgs))) // kind + version + count
-	for _, inner := range m.Msgs {
-		sz := inner.WireSize()
+	records, n := 0, 0
+	for i := 0; i < len(m.Msgs); {
+		j := m.record(i)
+		sz := recordSize(m.Msgs[i:j])
 		n += uvarintLen(uint64(sz)) + sz
+		records++
+		i = j
 	}
-	return n
+	return 2 + uvarintLen(uint64(records)) + n // kind + version + count
 }
 
 // ItemSize is the number of bytes a message occupies inside a batch
@@ -831,13 +852,24 @@ func MarshalAppend(dst []byte, m Message) []byte {
 		w := writer{b: dst}
 		w.kind(KindBatch)
 		w.u8(BatchVersion)
-		w.uvarint(uint64(len(t.Msgs)))
-		for _, inner := range t.Msgs {
-			if inner.Kind() == KindBatch {
-				panic("wire: Marshal of a nested Batch")
+		records := 0
+		for i := 0; i < len(t.Msgs); i = t.record(i) {
+			records++
+		}
+		w.uvarint(uint64(records))
+		for i := 0; i < len(t.Msgs); {
+			j := t.record(i)
+			if inner := t.Msgs[i]; j == i+1 {
+				if inner.Kind() == KindBatch {
+					panic("wire: Marshal of a nested Batch")
+				}
+				w.uvarint(uint64(inner.WireSize()))
+				w.b = MarshalAppend(w.b, inner)
+			} else {
+				w.uvarint(uint64(recordSize(t.Msgs[i:j])))
+				w.run(t.Msgs[i:j])
 			}
-			w.uvarint(uint64(inner.WireSize()))
-			w.b = MarshalAppend(w.b, inner)
+			i = j
 		}
 		return w.b
 	}
@@ -923,6 +955,10 @@ func MarshalAppend(dst []byte, m Message) []byte {
 	case *HelloDigest:
 		w.i64(t.Incarnation)
 		w.i64(int64(t.Digest))
+	case *AliveRun:
+		w.i64(t.Incarnation)
+		w.i64(0) // base SendTime
+		w.uvarint(0)
 	default:
 		panic(fmt.Sprintf("wire: Marshal of unknown type %T", m))
 	}
@@ -986,17 +1022,29 @@ func unmarshalBatchEnvelope(r *reader, dst []Message) ([]Message, error) {
 			continue
 		}
 		inner := reader{b: r.b[:end], off: r.off, st: r.st, in: r.in}
-		m, err := unmarshalOne(&inner)
-		if err != nil {
+		var err error
+		if dst, err = decodeRecord(&inner, dst); err != nil {
 			return dst, err
 		}
-		dst = append(dst, m)
 		if inner.off != end {
 			return dst, fmt.Errorf("%w: inner message shorter than its length prefix", ErrBadBatch)
 		}
 		r.off = end
 	}
 	return dst, nil
+}
+
+// decodeRecord decodes one record of a datagram, appending what it holds
+// to dst: the message, or the ALIVEs of a run.
+func decodeRecord(r *reader, dst []Message) ([]Message, error) {
+	if r.off < len(r.b) && Kind(r.b[r.off]) == KindAliveRun {
+		return unmarshalRun(r, dst)
+	}
+	m, err := unmarshalOne(r)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, m), nil
 }
 
 // unmarshalOne decodes a single non-batch message.

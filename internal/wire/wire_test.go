@@ -50,6 +50,7 @@ func sampleMessages() []Message {
 		&SuccessorHint{Group: "g", Sender: "w01", Incarnation: 9, Seq: 1 << 21,
 			Successor: "w03", SuccessorInc: 77, At: 1710000000000000000, Lease: int64(10e9)},
 		&HelloDigest{Group: "g1", Sender: "w01", Incarnation: 123456789, Digest: 0xfedcba9876543210},
+		&AliveRun{Sender: "w01", Incarnation: 123456789},
 	}
 }
 
@@ -90,7 +91,7 @@ func randomProcess(r *rand.Rand) id.Process {
 func randomMessage(r *rand.Rand) Message {
 	g := id.Group(randomProcess(r))
 	s := randomProcess(r)
-	switch r.Intn(11) {
+	switch r.Intn(12) {
 	case 0:
 		m := &Hello{Group: g, Sender: s, Incarnation: r.Int63()}
 		for i := r.Intn(5); i > 0; i-- {
@@ -136,6 +137,8 @@ func randomMessage(r *rand.Rand) Message {
 		return &LeaseRenew{Group: g, Sender: s, Incarnation: r.Int63(), TTL: r.Int63n(1e11)}
 	case 9:
 		return &HelloDigest{Group: g, Sender: s, Incarnation: r.Int63(), Digest: r.Uint64()}
+	case 10:
+		return &AliveRun{Sender: s, Incarnation: r.Int63()}
 	default:
 		return &Rate{Group: g, Sender: s, Incarnation: r.Int63(), Interval: r.Int63n(1e10)}
 	}
@@ -226,6 +229,7 @@ func TestKindString(t *testing.T) {
 		Kind(99):   "Kind(99)",
 
 		KindHelloDigest: "HELLO_DIGEST",
+		KindAliveRun:    "ALIVE_RUN",
 	}
 	for k, want := range names {
 		if got := k.String(); got != want {
@@ -239,8 +243,8 @@ func TestHeaderAccessors(t *testing.T) {
 		if m.From() == "" && m.Kind() != KindHello {
 			t.Errorf("%s: empty From", m.Kind())
 		}
-		if m.GroupID() == "" {
-			t.Errorf("%s: empty GroupID", m.Kind())
+		if (m.GroupID() == "") != (m.Kind() == KindAliveRun) {
+			t.Errorf("%s: GroupID %q; only a run belongs to no group", m.Kind(), m.GroupID())
 		}
 	}
 }
@@ -278,7 +282,7 @@ func TestPreDigestKindsMarshalUnchanged(t *testing.T) {
 	}
 	var old []Message
 	for _, m := range sampleMessages() {
-		if m.Kind() != KindHelloDigest {
+		if m.Kind() < KindHelloDigest {
 			old = append(old, m)
 		}
 	}
